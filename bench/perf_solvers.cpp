@@ -339,12 +339,9 @@ std::vector<BenchCase> build_cases() {
                      g_sink = fit_coxian2(m).nu1;
                    }});
 
-  // Hot-path result-cache lookups: the mmap'd open-addressing table
-  // (engine/shm_cache) against the file-per-entry tier it sits in front
-  // of. One iteration hits every prewarmed key once, so items_per_second
-  // is warm hits/second and shm_probe_hit vs file_load_hit is the
-  // per-hit speedup of replacing a file open + text parse with a
-  // lock-free probe of shared memory.
+  // Hot-path result-cache lookups on the mmap'd open-addressing table
+  // (engine/shm_cache). One iteration hits every prewarmed key once, so
+  // items_per_second is warm hits/second.
   {
     constexpr std::size_t kCacheKeys = 256;
     const auto bench_key = [](std::size_t i) {
@@ -369,9 +366,7 @@ std::vector<BenchCase> build_cases() {
                  (fs::temp_directory_path() / "esched_bench_cache_shm")
                      .string();
              fs::remove_all(dir);
-             fs::create_directories(dir);
-             auto t = ShmResultCache::open_or_create(dir, 1024);
-             ESCHED_CHECK(t != nullptr, "bench: cannot map cache table");
+             auto t = std::make_unique<ShmResultCache>(dir, 1024);
              for (std::size_t i = 0; i < kCacheKeys; ++i) {
                t->store(bench_key(i), bench_result(i));
              }
@@ -386,30 +381,6 @@ std::vector<BenchCase> build_cases() {
            counters["keys"] = static_cast<double>(kCacheKeys);
            counters["slot_count"] = static_cast<double>(table->slot_count());
          }});
-    cases.push_back(
-        {"cache_hot_path/file_load_hit", true,
-         static_cast<double>(kCacheKeys),
-         [bench_key, bench_result](std::map<std::string, double>& counters) {
-           namespace fs = std::filesystem;
-           static const auto files = [&] {
-             const std::string dir =
-                 (fs::temp_directory_path() / "esched_bench_cache_files")
-                     .string();
-             fs::remove_all(dir);
-             auto cache = std::make_unique<DiskResultCache>(dir);
-             for (std::size_t i = 0; i < kCacheKeys; ++i) {
-               cache->store(bench_key(i), bench_result(i));
-             }
-             return cache;
-           }();
-           double sum = 0.0;
-           for (std::size_t i = 0; i < kCacheKeys; ++i) {
-             const auto hit = files->load(bench_key(i));
-             sum += hit ? hit->mean_response_time : 0.0;
-           }
-           g_sink = sum;
-           counters["keys"] = static_cast<double>(kCacheKeys);
-         }});
     // Fresh-table stores (creation + ftruncate + kCacheKeys CAS-claimed
     // publishes per iteration) — the cold half of the table's life.
     cases.push_back(
@@ -422,9 +393,7 @@ std::vector<BenchCase> build_cases() {
                 ("esched_bench_cache_store." + std::to_string(++run_id)))
                    .string();
            fs::remove_all(dir);
-           fs::create_directories(dir);
-           auto table = ShmResultCache::open_or_create(dir, 1024);
-           ESCHED_CHECK(table != nullptr, "bench: cannot map cache table");
+           auto table = std::make_unique<ShmResultCache>(dir, 1024);
            for (std::size_t i = 0; i < kCacheKeys; ++i) {
              table->store(bench_key(i), bench_result(i));
            }
@@ -434,49 +403,42 @@ std::vector<BenchCase> build_cases() {
          }});
   }
   // Warm full-rerun wall clock: a complete SweepRunner pass where every
-  // point is a --cache-dir hit, table tier vs file tier. This is the
-  // user-visible number behind the hot-path cases above — the cost of
-  // re-running a finished sweep (the CSV bytes are identical either way).
-  for (const bool use_table : {true, false}) {
-    cases.push_back(
-        {std::string("cache_warm_rerun/") + (use_table ? "table" : "files"),
-         true, 336.0,
-         [use_table](std::map<std::string, double>& counters) {
-           namespace fs = std::filesystem;
-           static const std::vector<RunPoint> points = [] {
-             Scenario scenario;
-             scenario.name = "bench-cache";
-             scenario.k_values = {2, 4, 8, 16};
-             scenario.rho_values = {0.5, 0.7, 0.9};
-             for (int n = 0; n < 14; ++n) {
-               scenario.mu_i_values.push_back(0.5 + 0.1 * n);
-             }
-             scenario.policies = {"IF", "EF"};
-             scenario.solvers = {SolverKind::kMmkBaseline};
-             return scenario.expand();
-           }();
-           const std::string dir =
-               (fs::temp_directory_path() /
-                (std::string("esched_bench_cache_rerun_") +
-                 (use_table ? "table" : "files")))
-                   .string();
-           static std::map<std::string, bool> prewarmed;
-           if (!prewarmed[dir]) {
-             fs::remove_all(dir);
-             SweepRunner warmer(1);
-             warmer.set_cache_dir(dir, use_table);
-             warmer.run(points, nullptr);
-             prewarmed[dir] = true;
+  // point is a --cache-dir hit. This is the user-visible number behind the
+  // hot-path cases above — the cost of re-running a finished sweep.
+  cases.push_back(
+      {"cache_warm_rerun/table", true, 336.0,
+       [](std::map<std::string, double>& counters) {
+         namespace fs = std::filesystem;
+         static const std::vector<RunPoint> points = [] {
+           Scenario scenario;
+           scenario.name = "bench-cache";
+           scenario.k_values = {2, 4, 8, 16};
+           scenario.rho_values = {0.5, 0.7, 0.9};
+           for (int n = 0; n < 14; ++n) {
+             scenario.mu_i_values.push_back(0.5 + 0.1 * n);
            }
-           SweepRunner runner(1);
-           runner.set_cache_dir(dir, use_table);
-           SweepStats stats;
-           const auto results = runner.run(points, &stats);
-           g_sink = results.front().mean_response_time;
-           counters["points"] = static_cast<double>(points.size());
-           counters["disk_hits"] = static_cast<double>(stats.disk_hits);
-         }});
-  }
+           scenario.policies = {"IF", "EF"};
+           scenario.solvers = {SolverKind::kMmkBaseline};
+           return scenario.expand();
+         }();
+         static const std::string dir = [] {
+           const std::string path =
+               (fs::temp_directory_path() / "esched_bench_cache_rerun_table")
+                   .string();
+           fs::remove_all(path);
+           SweepRunner warmer(1);
+           warmer.set_cache_dir(path);
+           warmer.run(points, nullptr);
+           return path;
+         }();
+         SweepRunner runner(1);
+         runner.set_cache_dir(dir);
+         SweepStats stats;
+         const auto results = runner.run(points, &stats);
+         g_sink = results.front().mean_response_time;
+         counters["points"] = static_cast<double>(points.size());
+         counters["disk_hits"] = static_cast<double>(stats.disk_hits);
+       }});
 
   // Pure coordination overhead of the distributed queue: one claim (task
   // scan + atomic rename + owner stamp) plus one commit (chunk CSV + JSON

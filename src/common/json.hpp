@@ -91,7 +91,8 @@ class JsonValue {
 JsonValue parse_json(const std::string& text,
                      const std::string& origin = "json");
 
-/// Shortest decimal form of `value` that strtod parses back bitwise equal.
+/// Shortest decimal form of `value` that strtod parses back bitwise equal;
+/// integral values below 1e15 in magnitude print as plain integers.
 std::string json_number_to_string(double value);
 
 }  // namespace esched

@@ -39,7 +39,7 @@ inline double sq(double x) { return x * x; }
 inline constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// FNV-1a over a byte string: platform-independent, stable across runs.
-/// Used for deterministic per-point RNG seeds and disk-cache file names.
+/// Used for deterministic per-point RNG seeds and cache-table slot hashes.
 inline constexpr std::uint64_t kFnv1a64OffsetBasis = 14695981039346656037ull;
 
 /// FNV-1a over a raw byte range, seedable so independent pieces (key

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/atomic_file.hpp"
@@ -29,6 +30,55 @@
 namespace esched {
 
 namespace {
+
+// ---- payload codec -------------------------------------------------------
+
+/// One packed RunResult field and the member it round-trips through. The
+/// table is the single source of truth for pack, unpack and the payload
+/// size.
+struct FieldSpec {
+  double RunResult::* as_double = nullptr;
+  long RunResult::* as_long = nullptr;
+  int RunResult::* as_int = nullptr;
+};
+
+constexpr FieldSpec fd(double RunResult::* member) {
+  return {member, nullptr, nullptr};
+}
+constexpr FieldSpec fl(long RunResult::* member) {
+  return {nullptr, member, nullptr};
+}
+constexpr FieldSpec fi(int RunResult::* member) {
+  return {nullptr, nullptr, member};
+}
+
+// Order is the payload order and part of the table format: changing it
+// (or the field count, which the header records as payload_bytes) makes
+// existing tables incompatible — sweeps then refuse the directory and name
+// the table file to delete; it is never read as wrong results.
+const FieldSpec kRunResultFields[] = {
+    fd(&RunResult::mean_response_time),
+    fd(&RunResult::mean_response_time_i),
+    fd(&RunResult::mean_response_time_e),
+    fd(&RunResult::mean_jobs_i),
+    fd(&RunResult::mean_jobs_e),
+    fd(&RunResult::ci_halfwidth),
+    fd(&RunResult::p50_i),
+    fd(&RunResult::p95_i),
+    fd(&RunResult::p99_i),
+    fd(&RunResult::p50_e),
+    fd(&RunResult::p95_e),
+    fd(&RunResult::p99_e),
+    fd(&RunResult::boundary_mass),
+    fl(&RunResult::num_states),
+    fd(&RunResult::dom_max_violation),
+    fd(&RunResult::dom_max_violation_i),
+    fd(&RunResult::dom_avg_gap),
+    fl(&RunResult::dom_checkpoints),
+    fi(&RunResult::solver_iterations),
+    fd(&RunResult::solve_residual),
+    fd(&RunResult::solve_seconds),
+};
 
 // ---- on-disk format ------------------------------------------------------
 // Header (4096 bytes, offsets below, everything u64 host-endian — the
@@ -58,8 +108,8 @@ constexpr std::uint64_t kSlotChecksum = 32;
 constexpr std::uint64_t kSlotPayload = 40;
 
 /// Probe window: a lookup or store scans at most this many slots from the
-/// key's home slot before giving up (a store that gives up spills to the
-/// file tier, so a nearly-full table degrades, never fails).
+/// key's home slot before giving up (a store that gives up is dropped, so
+/// a nearly-full table degrades to re-solving, never fails).
 constexpr std::uint64_t kMaxProbes = 64;
 
 std::uint64_t read_u64(const unsigned char* p) {
@@ -108,7 +158,7 @@ void fill_header(unsigned char* h, std::uint64_t slot_count,
 
 /// True when `h` describes a table this build can use. Geometry is part of
 /// the contract: a table with a different slot or payload size (an older
-/// or newer RunResult) is incompatible and reads as "no table".
+/// or newer RunResult) is incompatible and is never mapped.
 bool header_compatible(const unsigned char* h, std::uint64_t file_bytes,
                        std::uint64_t* slot_count_out) {
   if (std::memcmp(h + kHdrMagic, kMagic, sizeof(kMagic)) != 0) return false;
@@ -151,7 +201,7 @@ ShmMetrics& shm_metrics() {
 #if ESCHED_SHM_CACHE_POSIX
 
 /// Maps `path` read-write/shared and validates the header. Returns the
-/// base or nullptr; never throws — an unusable table means "no hot tier".
+/// base or nullptr; never throws — callers decide what "no table" means.
 unsigned char* map_table_file(const std::string& path, std::uint64_t* bytes,
                               std::uint64_t* slot_count) {
   const int fd = ::open(path.c_str(), O_RDWR);
@@ -208,9 +258,68 @@ bool create_table_file(const std::string& path, std::uint64_t slot_count) {
   return true;
 }
 
+#else  // !ESCHED_SHM_CACHE_POSIX
+
+bool create_table_file(const std::string&, std::uint64_t) { return false; }
+
 #endif  // ESCHED_SHM_CACHE_POSIX
 
+bool table_file_exists(const std::string& path) {
+  std::error_code ec;
+  return std::filesystem::exists(path, ec);
+}
+
+/// A table file this build cannot map is left alone (another build may be
+/// using it) and refused loudly, naming the file to delete.
+Error incompatible_table(const std::string& path) {
+  return Error("cache table '" + path +
+               "' is incompatible with this build (another format version, "
+               "result layout or byte order, or a damaged file) or cannot be "
+               "mapped; delete it to start a fresh cache");
+}
+
 }  // namespace
+
+std::size_t run_result_packed_bytes() {
+  return std::size(kRunResultFields) * 8;
+}
+
+void pack_run_result(const RunResult& r, unsigned char* out) {
+  for (const FieldSpec& field : kRunResultFields) {
+    std::uint64_t word = 0;
+    if (field.as_double != nullptr) {
+      const double value = r.*field.as_double;
+      std::memcpy(&word, &value, sizeof(word));
+    } else {
+      const std::int64_t value = field.as_long != nullptr
+                                     ? static_cast<std::int64_t>(r.*field.as_long)
+                                     : static_cast<std::int64_t>(r.*field.as_int);
+      std::memcpy(&word, &value, sizeof(word));
+    }
+    std::memcpy(out, &word, sizeof(word));
+    out += sizeof(word);
+  }
+}
+
+RunResult unpack_run_result(const unsigned char* in) {
+  RunResult r;
+  for (const FieldSpec& field : kRunResultFields) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, in, sizeof(word));
+    in += sizeof(word);
+    if (field.as_double != nullptr) {
+      double value = 0.0;
+      std::memcpy(&value, &word, sizeof(value));
+      r.*field.as_double = value;
+    } else {
+      std::int64_t value = 0;
+      std::memcpy(&value, &word, sizeof(value));
+      if (field.as_long != nullptr) r.*field.as_long = static_cast<long>(value);
+      else r.*field.as_int = static_cast<int>(value);
+    }
+  }
+  return r;
+}
 
 std::string ShmResultCache::table_path(const std::string& directory) {
   return directory + "/table.esched";
@@ -222,21 +331,35 @@ std::uint64_t ShmResultCache::key_capacity() const {
   return slot_key_capacity();
 }
 
-bool ShmResultCache::representable(const std::string& key) const {
-  return key.size() <= slot_key_capacity();
-}
-
-ShmResultCache::ShmResultCache(std::string path, unsigned char* base,
-                               std::uint64_t bytes, std::uint64_t slot_count)
-    : path_(std::move(path)),
-      base_(base),
-      mapped_bytes_(bytes),
-      slot_count_(slot_count) {}
-
 ShmResultCache::~ShmResultCache() { unmap(); }
 
 unsigned char* ShmResultCache::slot_ptr(std::uint64_t index) const {
   return base_ + kHeaderBytes + index * kSlotBytes;
+}
+
+ShmResultCache::ShmResultCache(const std::string& directory,
+                               std::uint64_t slot_count)
+    : path_(table_path(directory)) {
+  std::error_code ec;
+  std::filesystem::create_directories(directory, ec);
+  const bool mapped =
+      !ec && (map() ||
+              (create_table_file(path_, std::bit_ceil(std::max(
+                                            slot_count, kMinSlotCount))) &&
+               map()));
+  if (mapped) return;
+  if (table_file_exists(path_)) throw incompatible_table(path_);
+  throw Error("cannot create a cache table in '" + directory +
+              "' (unwritable directory, or no mmap support)");
+}
+
+std::unique_ptr<ShmResultCache> ShmResultCache::open_existing(
+    const std::string& directory) {
+  std::unique_ptr<ShmResultCache> table(new ShmResultCache());
+  table->path_ = table_path(directory);
+  if (table->map()) return table;
+  if (table_file_exists(table->path_)) throw incompatible_table(table->path_);
+  return nullptr;
 }
 
 #if ESCHED_SHM_CACHE_POSIX
@@ -247,38 +370,17 @@ void ShmResultCache::unmap() {
   mapped_bytes_ = 0;
 }
 
-std::unique_ptr<ShmResultCache> ShmResultCache::open_existing(
-    const std::string& directory) {
-  const std::string path = table_path(directory);
-  std::uint64_t bytes = 0;
-  std::uint64_t slots = 0;
-  unsigned char* base = map_table_file(path, &bytes, &slots);
-  if (base == nullptr) return nullptr;
-  return std::unique_ptr<ShmResultCache>(
-      new ShmResultCache(path, base, bytes, slots));
-}
-
-std::unique_ptr<ShmResultCache> ShmResultCache::open_or_create(
-    const std::string& directory, std::uint64_t slot_count) {
-  if (auto existing = open_existing(directory)) return existing;
-  slot_count = std::bit_ceil(std::max(slot_count, kMinSlotCount));
-  if (!create_table_file(table_path(directory), slot_count)) return nullptr;
-  return open_existing(directory);
+bool ShmResultCache::map() {
+  unmap();
+  base_ = map_table_file(path_, &mapped_bytes_, &slot_count_);
+  return base_ != nullptr;
 }
 
 #else  // !ESCHED_SHM_CACHE_POSIX
 
 void ShmResultCache::unmap() {}
 
-std::unique_ptr<ShmResultCache> ShmResultCache::open_existing(
-    const std::string&) {
-  return nullptr;
-}
-
-std::unique_ptr<ShmResultCache> ShmResultCache::open_or_create(
-    const std::string&, std::uint64_t) {
-  return nullptr;
-}
+bool ShmResultCache::map() { return false; }
 
 #endif  // ESCHED_SHM_CACHE_POSIX
 
@@ -375,7 +477,7 @@ bool ShmResultCache::store(const std::string& key, const RunResult& result) {
     metrics.probe_length.record(static_cast<double>(probe + 1));
     return true;
   }
-  metrics.spills.add();  // probe window full: caller stores to the file tier
+  metrics.spills.add();  // probe window full: the store is dropped
   return false;
 }
 
@@ -403,12 +505,12 @@ ShmTableInfo ShmResultCache::info() const {
   return info;
 }
 
-std::vector<CacheEntryInfo> ShmResultCache::list_entries() const {
+std::vector<std::string> ShmResultCache::list_keys() const {
   const std::uint64_t payload_bytes = run_result_packed_bytes();
   const std::uint64_t key_off = key_offset_in_slot();
   struct Row {
     std::uint64_t seq;
-    CacheEntryInfo info;
+    std::string key;
   };
   std::vector<Row> rows;
   for (std::uint64_t i = 0; i < slot_count_; ++i) {
@@ -423,28 +525,23 @@ std::vector<CacheEntryInfo> ShmResultCache::list_entries() const {
     if (read_u64(slot + kSlotChecksum) != expected) continue;  // corrupt
     Row row;
     row.seq = read_u64(slot + kSlotSeq);
-    row.info.path = path_;
-    row.info.key.assign(reinterpret_cast<const char*>(slot + key_off),
-                        key_len);
-    row.info.bytes = kSlotBytes;
-    row.info.age_seconds = 0.0;
-    row.info.tier = "table";
+    row.key.assign(reinterpret_cast<const char*>(slot + key_off), key_len);
     rows.push_back(std::move(row));
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.seq != b.seq) return a.seq < b.seq;  // oldest store first
-    return a.info.key < b.info.key;
+    return a.key < b.key;
   });
-  std::vector<CacheEntryInfo> entries;
-  entries.reserve(rows.size());
-  for (Row& row : rows) entries.push_back(std::move(row.info));
-  return entries;
+  std::vector<std::string> keys;
+  keys.reserve(rows.size());
+  for (Row& row : rows) keys.push_back(std::move(row.key));
+  return keys;
 }
 
-std::size_t ShmResultCache::compact(std::uint64_t keep_newest) {
+CacheGcResult ShmResultCache::compact(std::uint64_t keep_newest) {
 #if !ESCHED_SHM_CACHE_POSIX
   (void)keep_newest;
-  return 0;
+  return {};
 #else
   ShmMetrics& metrics = shm_metrics();
   const std::uint64_t payload_bytes = run_result_packed_bytes();
@@ -528,134 +625,43 @@ std::size_t ShmResultCache::compact(std::uint64_t keep_newest) {
   // land in a file nobody new will open — lost cache entries, never lost
   // correctness.
   atomic_write_file(path_, image);
-  unmap();
-  std::uint64_t bytes = 0;
-  std::uint64_t slots = 0;
-  base_ = map_table_file(path_, &bytes, &slots);
-  ESCHED_CHECK(base_ != nullptr,
-               "cannot remap compacted cache table '" + path_ + "'");
-  mapped_bytes_ = bytes;
-  slot_count_ = slots;
+  ESCHED_CHECK(map(), "cannot remap compacted cache table '" + path_ + "'");
   metrics.evictions.add(dropped);
-  return dropped;
+  return {dropped, keep};
 #endif
 }
 
-// ---- TieredResultCache ---------------------------------------------------
-
-TieredResultCache::TieredResultCache(std::string directory)
-    : TieredResultCache(std::move(directory), Options{}) {}
-
-TieredResultCache::TieredResultCache(std::string directory, Options options)
-    : files_(std::move(directory)) {
-  if (!options.use_table) return;
-  table_ = options.create_table
-               ? ShmResultCache::open_or_create(files_.directory(),
-                                                options.create_slots)
-               : ShmResultCache::open_existing(files_.directory());
-}
-
-std::optional<RunResult> TieredResultCache::load(const std::string& key) const {
-  if (table_ != nullptr) {
-    if (auto hit = table_->load(key)) return hit;
-  }
-  auto file_hit = files_.load(key);
-  if (file_hit.has_value() && table_ != nullptr) {
-    // Promote: a directory holding only per-entry files upgrades itself
-    // entry by entry as keys are touched. The file copy is dropped only
-    // once the slot is published, so the entry is never lost — and never
-    // counted in both tiers by ls/gc.
-    if (table_->store(key, *file_hit)) {
-      std::error_code ec;
-      std::filesystem::remove(files_.entry_path(key), ec);
-    }
-  }
-  return file_hit;
-}
-
-void TieredResultCache::store(const std::string& key,
-                              const RunResult& result) const {
-  if (table_ != nullptr && table_->store(key, result)) return;
-  files_.store(key, result);  // spill tier: oversized key or full table
-}
-
-std::vector<CacheEntryInfo> TieredResultCache::list_entries(
-    bool with_keys) const {
-  std::vector<CacheEntryInfo> entries = files_.list_entries(with_keys);
-  if (table_ != nullptr) {
-    std::vector<CacheEntryInfo> slots = table_->list_entries();
-    entries.insert(entries.end(), std::make_move_iterator(slots.begin()),
-                   std::make_move_iterator(slots.end()));
-  }
-  return entries;
-}
-
-CacheGcResult TieredResultCache::gc(
-    std::optional<double> max_age_seconds,
-    std::optional<std::uintmax_t> max_bytes) const {
-  if (table_ == nullptr) return files_.gc(max_age_seconds, max_bytes);
-
+CacheGcResult ShmResultCache::gc(std::optional<std::uintmax_t> max_bytes) {
   // Stale table-creation temps (a creator died between open and link) are
-  // cruft under the same >1h rule the file tier uses for its own temps.
+  // cruft once they are demonstrably stale: a live creator may hold a
+  // young one open right now.
   namespace fs = std::filesystem;
   constexpr double kTmpStaleSeconds = 3600.0;
-  const std::string table_tmp_prefix =
-      fs::path(ShmResultCache::table_path(files_.directory()))
-          .filename()
-          .string() +
-      ".tmp.";
+  const fs::path table_file(path_);
+  const std::string tmp_prefix = table_file.filename().string() + ".tmp.";
   std::error_code ec;
   const auto now = fs::file_time_type::clock::now();
-  for (fs::directory_iterator it(files_.directory(), ec), end;
+  for (fs::directory_iterator it(table_file.parent_path(), ec), end;
        !ec && it != end; it.increment(ec)) {
     const std::string name = it->path().filename().string();
-    if (name.rfind(table_tmp_prefix, 0) != 0) continue;
+    if (name.rfind(tmp_prefix, 0) != 0) continue;
     std::error_code tmp_ec;
     const auto mtime = fs::last_write_time(it->path(), tmp_ec);
     if (tmp_ec) continue;
     const double age = std::chrono::duration<double>(now - mtime).count();
-    if (age > kTmpStaleSeconds) fs::remove(it->path(), ec);
+    if (age > kTmpStaleSeconds) fs::remove(it->path(), tmp_ec);
   }
 
-  // Age policy + temp sweep on the file tier; the byte budget is applied
-  // below across both tiers (a table slot costs slot_bytes).
-  CacheGcResult result = files_.gc(max_age_seconds, std::nullopt);
-  ShmTableInfo table_info = table_->info();
-  std::vector<CacheEntryInfo> table_entries = table_->list_entries();
-  result.scanned += table_entries.size();
-  std::uintmax_t file_total = result.bytes_kept;
-  std::uintmax_t table_total =
-      static_cast<std::uintmax_t>(table_entries.size()) *
-      table_info.slot_bytes;
-  if (max_bytes.has_value()) {
-    // Evict file entries oldest-first until the union fits...
-    for (const CacheEntryInfo& entry : files_.list_entries(false)) {
-      if (file_total + table_total <= *max_bytes) break;
-      std::error_code remove_ec;
-      if (!fs::remove(entry.path, remove_ec) || remove_ec) continue;
-      ++result.removed;
-      result.bytes_removed += entry.bytes;
-      file_total -= entry.bytes;
-    }
-    // ...then drop the oldest table entries by rebuilding around the
-    // newest ones that fit the remaining budget.
-    if (file_total + table_total > *max_bytes) {
-      const std::uintmax_t budget =
-          *max_bytes > file_total ? *max_bytes - file_total : 0;
-      const std::uint64_t keep = budget / table_info.slot_bytes;
-      const std::size_t dropped = table_->compact(keep);
-      result.removed += dropped;
-      result.bytes_removed +=
-          static_cast<std::uintmax_t>(dropped) * table_info.slot_bytes;
-      table_total -= static_cast<std::uintmax_t>(dropped) *
-                     table_info.slot_bytes;
-    }
-  } else if (table_info.wedged_slots > 0) {
-    // No byte pressure, but dead writers left wedged slots: rebuild to
-    // reclaim them, keeping every live entry.
-    table_->compact(table_entries.size());
-  }
-  result.bytes_kept = file_total + table_total;
+  // Without a budget nothing is evicted — not even entries a live writer
+  // stores between this count and the rebuild's snapshot — and only
+  // wedged slots force a rebuild.
+  const std::uint64_t keep = max_bytes.has_value()
+                                 ? *max_bytes / kSlotBytes
+                                 : std::numeric_limits<std::uint64_t>::max();
+  const std::size_t live = list_keys().size();
+  if (keep < live || info().wedged_slots > 0) return compact(keep);
+  CacheGcResult result;
+  result.kept = live;
   return result;
 }
 

@@ -1,8 +1,7 @@
-// Mmap'd open-addressing result cache — the hot tier of the persistent
-// cache. One fixed-geometry table file (`table.esched`) per cache
-// directory, shared MAP_SHARED by every thread and worker process that
-// maps it; a warm hit is a lock-free linear probe over fixed-width slots
-// instead of a file open + text parse.
+// Persistent result cache behind --cache-dir: one mmap'd open-addressing
+// table file (`table.esched`) per cache directory, shared MAP_SHARED by
+// every thread and worker process that maps it; a warm hit is a lock-free
+// linear probe over fixed-width slots.
 //
 // Crash/concurrency story (mirrors the dist queue's lease discipline —
 // never trust anything that was not atomically published):
@@ -18,8 +17,9 @@
 //     rebuilds the table without it.
 //   - Slots are immutable once valid (results are deterministic in the
 //     key, so the first writer wins and there is nothing to update).
-// Oversized keys (and probe-exhausted stores) spill to the file-per-entry
-// DiskResultCache tier; TieredResultCache glues the two together.
+// A store whose key is too long for a slot, or whose probe window is full,
+// is dropped (counted in cache.shm.spills): the point re-solves next time,
+// and a miss is always correct.
 #pragma once
 
 #include <cstdint>
@@ -28,13 +28,27 @@
 #include <string>
 #include <vector>
 
-#include "engine/disk_cache.hpp"
 #include "engine/solver_dispatch.hpp"
 
 namespace esched {
 
+/// Fixed binary encoding of a RunResult, one slot payload: every field
+/// occupies 8 host-endian bytes (doubles bit-cast, longs/ints
+/// sign-extended to int64), and pack/unpack round-trip a RunResult
+/// bitwise. from_cache is not packed — provenance belongs to the run that
+/// observes the hit.
+std::size_t run_result_packed_bytes();
+void pack_run_result(const RunResult& result, unsigned char* out);
+RunResult unpack_run_result(const unsigned char* in);
+
+/// Outcome of a gc() or compact() pass; every entry costs one slot.
+struct CacheGcResult {
+  std::size_t removed = 0;  ///< entries dropped
+  std::size_t kept = 0;     ///< entries left in the table
+};
+
 /// Geometry + occupancy of one table file, for `esched cache info`, gc's
-/// byte accounting, and tests that need slot offsets to corrupt bytes.
+/// wedged-slot check, and tests that need slot offsets to corrupt bytes.
 struct ShmTableInfo {
   std::string path;
   std::uint64_t format_version = 0;
@@ -64,20 +78,25 @@ class ShmResultCache {
   /// The table file inside a cache directory.
   static std::string table_path(const std::string& directory);
 
-  /// Maps an existing table; nullptr when the file is absent, the platform
-  /// has no mmap, or the header is incompatible (wrong magic/version/
-  /// geometry/endianness) — callers fall back to the file tier.
+  /// Maps an existing table; nullptr when there is no table file. Throws
+  /// esched::Error, naming the file to delete, when the file exists but
+  /// cannot be used (wrong magic/version/geometry/endianness, or no mmap).
+  /// `esched cache ls/info/gc` use it so inspecting a directory never
+  /// creates a table in it.
   static std::unique_ptr<ShmResultCache> open_existing(
       const std::string& directory);
 
-  /// open_existing, creating (atomically — concurrent creators race on a
-  /// link(2) publish and exactly one table survives) a fresh table of
-  /// `slot_count` slots when none exists. `slot_count` is rounded up to a
-  /// power of two. nullptr only when the platform cannot mmap or the
-  /// directory is unwritable.
-  static std::unique_ptr<ShmResultCache> open_or_create(
-      const std::string& directory,
-      std::uint64_t slot_count = kDefaultSlotCount);
+  /// Maps the table in `directory`, creating the directory and — when no
+  /// compatible table exists — a fresh one of `slot_count` slots (rounded
+  /// up to a power of two). Creation is atomic: concurrent creators race
+  /// on a link(2) publish and exactly one table survives. Throws
+  /// esched::Error when the directory or table cannot be created or
+  /// mapped (unwritable directory, or no mmap support), and, with the same
+  /// message as open_existing, when a table file exists that this build
+  /// cannot use. An incompatible table is never overwritten: another
+  /// build may still be using it.
+  explicit ShmResultCache(const std::string& directory,
+                          std::uint64_t slot_count = kDefaultSlotCount);
 
   ~ShmResultCache();
   ShmResultCache(const ShmResultCache&) = delete;
@@ -88,28 +107,33 @@ class ShmResultCache {
   /// skipped, an `empty` slot ends the probe.
   std::optional<RunResult> load(const std::string& key) const;
 
-  /// Claims a slot and publishes the entry; false when the key is too long
-  /// for a slot or the probe window is full (caller spills to the file
-  /// tier). Returns true without writing when the key is already present.
+  /// Claims a slot and publishes the entry. Returns false — the store is
+  /// dropped and counted in cache.shm.spills — when the key is too long
+  /// for a slot or the probe window is full. Returns true without writing
+  /// when the key is already present.
   bool store(const std::string& key, const RunResult& result);
-
-  /// True when `key` fits a slot's inline key area.
-  bool representable(const std::string& key) const;
 
   ShmTableInfo info() const;
 
-  /// Every published entry as a manifest row (tier = "table",
-  /// bytes = slot_bytes, age 0 — slots carry a store sequence number, not
-  /// a wall-clock time). Ordered oldest store first.
-  std::vector<CacheEntryInfo> list_entries() const;
+  /// The key of every published entry, oldest store first. Slots carry a
+  /// store sequence number, not a wall-clock time, so there is no age.
+  std::vector<std::string> list_keys() const;
+
+  /// `esched cache gc`: removes stale (> 1 h old) table-creation temps
+  /// left in the directory by a creator that died before publishing —
+  /// younger ones may belong to a live creator. Then, with a byte budget
+  /// (slot_bytes per published entry), compacts down to the newest entries
+  /// that fit; without one, compacts only when wedged slots need
+  /// reclaiming, keeping every live entry.
+  CacheGcResult gc(std::optional<std::uintmax_t> max_bytes);
 
   /// Rebuilds the table keeping only the `keep_newest` most recently
   /// stored entries (wedged and corrupt slots are always dropped), shrinks
   /// the slot count to fit the survivors, and atomically publishes the new
   /// file over the old one, remapping this handle. Concurrent mappers of
-  /// the old file keep a consistent (now orphaned) view. Returns the
-  /// number of entries dropped.
-  std::size_t compact(std::uint64_t keep_newest);
+  /// the old file keep a consistent (now orphaned) view. The counts come
+  /// from the rebuild's own snapshot of the table.
+  CacheGcResult compact(std::uint64_t keep_newest);
 
   const std::string& path() const { return path_; }
   std::uint64_t slot_count() const { return slot_count_; }
@@ -117,9 +141,10 @@ class ShmResultCache {
   std::uint64_t key_capacity() const;
 
  private:
-  ShmResultCache(std::string path, unsigned char* base, std::uint64_t bytes,
-                 std::uint64_t slot_count);
-
+  ShmResultCache() = default;
+  /// Maps path_ (replacing any mapping); false when it is not a usable
+  /// table.
+  bool map();
   unsigned char* slot_ptr(std::uint64_t index) const;
   void unmap();
 
@@ -129,44 +154,8 @@ class ShmResultCache {
   std::uint64_t slot_count_ = 0;
 };
 
-/// The two tiers behind --cache-dir: the mmap table for everything that
-/// fits a slot, the per-entry files for what does not (and for directories
-/// whose table cannot be created). load() promotes file-tier hits into the
-/// table so old per-entry caches transparently upgrade; ls/gc see the
-/// union of both tiers.
-class TieredResultCache {
- public:
-  struct Options {
-    bool use_table = true;     ///< false: behave exactly like DiskResultCache
-    bool create_table = true;  ///< false: map the table only if it exists
-    std::uint64_t create_slots = ShmResultCache::kDefaultSlotCount;
-  };
-
-  explicit TieredResultCache(std::string directory);
-  TieredResultCache(std::string directory, Options options);
-
-  std::optional<RunResult> load(const std::string& key) const;
-  void store(const std::string& key, const RunResult& result) const;
-
-  /// Union manifest: file entries (oldest first) then table entries
-  /// (oldest store first).
-  std::vector<CacheEntryInfo> list_entries(bool with_keys = true) const;
-
-  /// Two-tier gc. The age policy applies to file entries only (table slots
-  /// have no wall-clock age). The byte budget counts file bytes plus
-  /// slot_bytes per published table entry and evicts files oldest-first,
-  /// then compacts the table down to the newest entries that fit.
-  CacheGcResult gc(std::optional<double> max_age_seconds,
-                   std::optional<std::uintmax_t> max_bytes) const;
-
-  const std::string& directory() const { return files_.directory(); }
-  const ShmResultCache* table() const { return table_.get(); }
-  ShmResultCache* table() { return table_.get(); }
-  const DiskResultCache& files() const { return files_; }
-
- private:
-  DiskResultCache files_;
-  std::unique_ptr<ShmResultCache> table_;
-};
+/// Former name of the --cache-dir store, kept because the benchmark probe
+/// (perfbench/probe.cpp) is compiled against it.
+using TieredResultCache = ShmResultCache;
 
 }  // namespace esched

@@ -26,7 +26,7 @@
 
 namespace esched {
 
-class TieredResultCache;
+class ShmResultCache;
 
 /// Thread-safe memoization cache keyed on RunPoint::cache_key(), sharded
 /// by key hash so a high-thread warm rerun (every point a memo hit) does
@@ -104,12 +104,11 @@ class SweepRunner {
 
   /// Attaches a persistent cache directory (created if missing): memory
   /// misses consult it before solving, and fresh solves are written back.
-  /// The directory is a two-tier cache (engine/shm_cache): an mmap'd
-  /// open-addressing table serves hits with a lock-free probe, per-entry
-  /// files hold what the table cannot. `use_table = false` keeps the
-  /// file-per-entry tier only (benches use it to measure the old hot
-  /// path). Throws when the directory cannot be created.
-  void set_cache_dir(const std::string& directory, bool use_table = true);
+  /// The directory holds one mmap'd open-addressing table
+  /// (engine/shm_cache) that serves hits with a lock-free probe. Throws
+  /// when the directory or its table cannot be created, or when the
+  /// directory holds a table this build cannot use.
+  void set_cache_dir(const std::string& directory);
 
   int num_threads() const { return num_threads_; }
   ResultCache& cache() { return cache_; }
@@ -118,7 +117,7 @@ class SweepRunner {
  private:
   int num_threads_;
   ResultCache cache_;
-  std::unique_ptr<TieredResultCache> disk_cache_;
+  std::unique_ptr<ShmResultCache> disk_cache_;
 };
 
 }  // namespace esched

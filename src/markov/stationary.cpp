@@ -177,63 +177,4 @@ Vector sor_stationary(const SparseCtmc& chain, double tol, int max_iters,
                         max_iters, omega, info);
 }
 
-Vector power_stationary(const CsrMatrix& rates, const Vector& exit_rates,
-                        double tol, int max_iters,
-                        StationarySolveInfo* info) {
-  ESCHED_CHECK(exit_rates.size() == rates.rows(),
-               "exit-rate dimension mismatch");
-  ESCHED_DEBUG_CHECK(check_generator(rates, exit_rates, "power_stationary"));
-  const std::size_t n = rates.rows();
-  // Strictly exceed the max exit rate so the uniformized DTMC is aperiodic.
-  double max_exit = 0.0;
-  for (double r : exit_rates) max_exit = std::max(max_exit, r);
-  const double uniformization = max_exit * 1.05 + 1e-9;
-  const CsrMatrix in = rates.transposed();
-  Vector pi(n, 1.0 / static_cast<double>(n));
-  Vector next(n, 0.0);
-  StationarySolveInfo local;
-  for (local.iterations = 1; local.iterations <= max_iters;
-       ++local.iterations) {
-    for (std::size_t s = 0; s < n; ++s) {
-      // Gather form of pi P: incoming contributions in ascending source
-      // order, with the stay term interleaved where source == s falls.
-      const std::size_t* from = in.row_cols(s);
-      const double* rate = in.row_values(s);
-      const std::size_t nnz = in.row_nnz(s);
-      double acc = 0.0;
-      bool stayed = false;
-      for (std::size_t k = 0; k < nnz; ++k) {
-        if (!stayed && from[k] > s) {
-          acc += pi[s] * (1.0 - exit_rates[s] / uniformization);
-          stayed = true;
-        }
-        acc += pi[from[k]] * rate[k] / uniformization;
-      }
-      if (!stayed) acc += pi[s] * (1.0 - exit_rates[s] / uniformization);
-      next[s] = acc;
-    }
-    double delta = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      delta = std::max(delta, std::abs(next[s] - pi[s]));
-    }
-    pi.swap(next);
-    if (delta * uniformization < tol) {
-      local.converged = true;
-      break;
-    }
-  }
-  local.iterations = std::min(local.iterations, max_iters);
-  normalize_probability(pi);
-  local.residual = residual_from_incoming(in, exit_rates, pi);
-  if (info != nullptr) *info = local;
-  ESCHED_DEBUG_CHECK(check_probability_vector(pi, "power_stationary"));
-  return pi;
-}
-
-Vector power_stationary(const SparseCtmc& chain, double tol, int max_iters,
-                        StationarySolveInfo* info) {
-  return power_stationary(chain.rate_matrix(), chain.exit_rates(), tol,
-                          max_iters, info);
-}
-
 }  // namespace esched

@@ -1,16 +1,14 @@
 // Stationary distribution solvers for finite CTMCs.
 //
-// Four algorithms with different size/robustness trade-offs:
+// Three algorithms with different size/robustness trade-offs:
 //  - GTH elimination: O(n^3), no subtractions (numerically exact for
 //    probabilities), the right choice for n up to ~1-2k states.
 //  - Gauss-Seidel/SOR on the balance equations: sparse, O(nnz) per sweep,
 //    for truncated 2-D chains without usable structure.
 //  - Block-tridiagonal GTH elimination (markov/block_solver.hpp): direct,
 //    O(levels * block^3), for level-structured chains.
-//  - Uniformized power iteration: simple and always convergent for ergodic
-//    chains; used as a cross-check in tests.
 //
-// Each iterative solver takes either a SparseCtmc or the raw
+// Each sparse solver takes either a SparseCtmc or the raw
 // (rate matrix, exit rates) pair; the latter lets batch callers overlay
 // rates into a reusable CSR scratch without constructing a chain object.
 #pragma once
@@ -67,14 +65,6 @@ Vector sor_stationary(const SparseCtmc& chain, double tol = 1e-12,
 Vector sor_stationary(const CsrMatrix& rates, const Vector& exit_rates,
                       double tol = 1e-12, int max_iters = 20000,
                       double omega = 1.0, StationarySolveInfo* info = nullptr);
-
-/// Uniformized power iteration: P = I + Q/Lambda, pi <- pi P until stable.
-Vector power_stationary(const SparseCtmc& chain, double tol = 1e-12,
-                        int max_iters = 1000000,
-                        StationarySolveInfo* info = nullptr);
-Vector power_stationary(const CsrMatrix& rates, const Vector& exit_rates,
-                        double tol = 1e-12, int max_iters = 1000000,
-                        StationarySolveInfo* info = nullptr);
 
 /// Residual max_s |(pi Q)_s| — a direct check that `pi` satisfies balance.
 double stationary_residual(const SparseCtmc& chain, const Vector& pi);

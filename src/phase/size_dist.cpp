@@ -92,18 +92,6 @@ Moments3 pareto_moments(double alpha) {
           alpha * xm * xm * xm / (alpha - 3.0)};
 }
 
-/// Canonical parameter text: plain integers where exact ("20", never
-/// "2e+01"), shortest round-trip decimal otherwise.
-std::string canonical_number(double value) {
-  if (value == std::floor(value) && std::abs(value) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld",
-                  static_cast<long long>(value));
-    return buf;
-  }
-  return json_number_to_string(value);
-}
-
 }  // namespace
 
 const std::vector<SizeDistFamilyInfo>& size_dist_families() {
@@ -212,7 +200,9 @@ SizeDistSpec SizeDistSpec::parse(const std::string& text) {
   spec.canonical_ = name;
   for (std::size_t n = 0; n < spec.args_.size(); ++n) {
     spec.canonical_ += n == 0 ? ':' : ',';
-    spec.canonical_ += canonical_number(spec.args_[n]);
+    // Plain integers where exact ("20", never "2e+01"); + 0.0 folds -0
+    // into 0, since both name the same distribution.
+    spec.canonical_ += json_number_to_string(spec.args_[n] + 0.0);
   }
   // Every family must actually compile (e.g. ph-fit moments can be an
   // invalid moment sequence); surface that at parse time, naming the spec.

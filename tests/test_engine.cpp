@@ -13,7 +13,6 @@
 #include "core/ef_analysis.hpp"
 #include "core/exact_ctmc.hpp"
 #include "core/policies.hpp"
-#include "engine/disk_cache.hpp"
 #include "engine/report.hpp"
 #include "engine/scenario.hpp"
 #include "engine/solver_dispatch.hpp"
@@ -438,35 +437,6 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners) {
     EXPECT_TRUE(numerically_equal(solved[n], loaded[n]))
         << points[n].cache_key();
   }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(DiskCache, RoundTripsResultsExactlyAndRejectsCorruption) {
-  RunResult result;
-  result.mean_response_time = 1.0 / 3.0;
-  result.mean_jobs_i = 0.1234567890123456789;
-  result.ci_halfwidth = 1e-300;
-  result.p99_e = 42.5;
-  result.num_states = 1681;
-  result.dom_checkpoints = 77;
-  result.solver_iterations = 12;
-  result.solve_residual = 3.0e-13;
-  const std::string text = serialize_run_result(result);
-  const auto parsed = deserialize_run_result(text);
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_TRUE(numerically_equal(result, *parsed));
-  EXPECT_FALSE(deserialize_run_result("garbage").has_value());
-  EXPECT_FALSE(deserialize_run_result(text.substr(0, 40)).has_value());
-
-  const std::string dir = testing::TempDir() + "esched_disk_cache_unit";
-  const DiskResultCache cache(dir);
-  EXPECT_FALSE(cache.load("missing").has_value());
-  cache.store("k=1;policy=IF", result);
-  const auto loaded = cache.load("k=1;policy=IF");
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(numerically_equal(result, *loaded));
-  // A different key mapping to a present file must verify the stored key.
-  EXPECT_FALSE(cache.load("k=1;policy=EF").has_value());
   std::filesystem::remove_all(dir);
 }
 

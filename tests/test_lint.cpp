@@ -64,7 +64,7 @@ TEST(LintRawFileIo, FiresOnEveryRawPrimitiveInsideTheZone) {
 }
 
 TEST(LintRawFileIo, ZoneIsPathScoped) {
-  // The identical content outside src/dist//src/obs//disk_cache is legal:
+  // The identical content outside src/dist//src/obs//shm_cache is legal:
   // only the queue/cache/observability protocols need atomic publication.
   const auto findings = lint::lint_file(
       "src/core/fixture.cpp", read_fixture("raw_file_io_fail.cpp"),

@@ -87,26 +87,6 @@ TEST(Stationary, SorReportsTrueIterationCountOnNonConvergence) {
   EXPECT_EQ(info.iterations, max_iters);
 }
 
-TEST(Stationary, PowerIterationReportsTrueIterationCountOnNonConvergence) {
-  const SparseCtmc chain = mm1_chain(40, 0.7, 1.0);
-  const int max_iters = 10;
-  StationarySolveInfo info;
-  power_stationary(chain, 1e-30, max_iters, &info);
-  EXPECT_FALSE(info.converged);
-  EXPECT_EQ(info.iterations, max_iters);
-}
-
-TEST(Stationary, PowerIterationAgreesWithGth) {
-  const SparseCtmc chain = mm1_chain(30, 0.5, 1.0);
-  const Vector exact = gth_stationary(chain);
-  StationarySolveInfo info;
-  const Vector power = power_stationary(chain, 1e-13, 2000000, &info);
-  EXPECT_TRUE(info.converged);
-  for (std::size_t s = 0; s < exact.size(); ++s) {
-    EXPECT_NEAR(power[s], exact[s], 1e-8);
-  }
-}
-
 TEST(Stationary, ResidualOfExactSolutionIsTiny) {
   const SparseCtmc chain = mm1_chain(25, 0.4, 1.0);
   const Vector pi = gth_stationary(chain);
@@ -252,31 +232,6 @@ Vector reference_sor(const SparseCtmc& chain, double tol, int max_iters,
   return pi;
 }
 
-Vector reference_power(const SparseCtmc& chain, double tol, int max_iters) {
-  const std::size_t n = chain.num_states();
-  const double uniformization = chain.max_exit_rate() * 1.05 + 1e-9;
-  Vector pi(n, 1.0 / static_cast<double>(n));
-  Vector next(n, 0.0);
-  for (int iter = 1; iter <= max_iters; ++iter) {
-    std::fill(next.begin(), next.end(), 0.0);
-    for (std::size_t s = 0; s < n; ++s) {
-      const double stay = 1.0 - chain.exit_rate(s) / uniformization;
-      next[s] += pi[s] * stay;
-      for (const auto& t : chain.transitions_from(s)) {
-        next[t.to] += pi[s] * t.rate / uniformization;
-      }
-    }
-    double delta = 0.0;
-    for (std::size_t s = 0; s < n; ++s) {
-      delta = std::max(delta, std::abs(next[s] - pi[s]));
-    }
-    pi.swap(next);
-    if (delta * uniformization < tol) break;
-  }
-  normalize_probability(pi);
-  return pi;
-}
-
 /// A 5x3 two-dimensional chain, level-structured along i: up/down rates
 /// between adjacent levels plus within-level hops, all state-dependent so
 /// no accidental symmetry hides accumulation-order differences.
@@ -316,17 +271,6 @@ TEST(Stationary, SorCsrBitwiseMatchesNestedVectorReference) {
     EXPECT_EQ(ref_info.iterations, csr_info.iterations);
     EXPECT_EQ(ref_info.residual, csr_info.residual);
     EXPECT_EQ(ref_info.converged, csr_info.converged);
-  }
-}
-
-TEST(Stationary, PowerCsrBitwiseMatchesReference) {
-  for (const SparseCtmc& chain : {mm1_chain(30, 0.5, 1.0), grid_chain()}) {
-    const Vector ref = reference_power(chain, 1e-10, 100000);
-    const Vector csr = power_stationary(chain, 1e-10, 100000, nullptr);
-    ASSERT_EQ(ref.size(), csr.size());
-    for (std::size_t s = 0; s < ref.size(); ++s) {
-      EXPECT_EQ(ref[s], csr[s]) << "state " << s;
-    }
   }
 }
 

@@ -1,14 +1,16 @@
 // The mmap'd open-addressing result cache (engine/shm_cache): slot
-// round-trips, the torn/corrupt-reads-as-miss guarantee, the spill and
-// promotion paths between the table and the file tier, gc compaction, and
-// a multi-thread x multi-process hammer with a writer killed mid-store —
-// the survivors must only ever see valid-checksum hits.
+// round-trips, the torn/corrupt-reads-as-miss guarantee, dropped stores
+// (oversized keys, a full probe window), incompatible tables, legacy
+// file-only directories, gc compaction and temp hygiene, and a
+// multi-thread x multi-process hammer with a writer killed mid-store — the
+// survivors must only ever see valid-checksum hits.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -17,10 +19,13 @@
 #include <thread>
 #include <vector>
 
+#include "common/error.hpp"
+#include "common/numeric.hpp"
 #include "engine/scenario.hpp"
 #include "engine/shm_cache.hpp"
 #include "engine/solver_dispatch.hpp"
 #include "engine/sweep_runner.hpp"
+#include "obs/metrics.hpp"
 
 #if defined(__unix__) || (defined(__APPLE__) && defined(__MACH__))
 #define ESCHED_TEST_HAS_FORK 1
@@ -88,6 +93,22 @@ void write_u64_at(std::fstream& f, std::uint64_t offset, std::uint64_t v) {
   f.flush();
 }
 
+std::uint64_t spills() {
+  return global_metrics().counter("cache.shm.spills").total();
+}
+
+std::size_t result_files_in(const std::string& dir) {
+  std::size_t count = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".result") ++count;
+  }
+  return count;
+}
+
+void age_file(const std::string& path, std::chrono::hours by) {
+  fs::last_write_time(path, fs::file_time_type::clock::now() - by);
+}
+
 /// File offset of the first slot holding `state`, or nullopt.
 std::optional<std::uint64_t> find_slot_with_state(const ShmTableInfo& info,
                                                   std::fstream& f,
@@ -116,9 +137,7 @@ TEST(PackedRunResult, RoundTripsBitwise) {
 
 TEST(ShmCache, StoreLoadRoundTripAndMiss) {
   const std::string dir = fresh_dir("esched_shm_roundtrip");
-  fs::create_directories(dir);
-  auto table = ShmResultCache::open_or_create(dir, 256);
-  ASSERT_NE(table, nullptr);
+  auto table = std::make_unique<ShmResultCache>(dir, 256);
   EXPECT_EQ(table->slot_count(), 256u);
 
   EXPECT_FALSE(table->load(key_for(0)).has_value());
@@ -145,50 +164,53 @@ TEST(ShmCache, StoreLoadRoundTripAndMiss) {
   fs::remove_all(dir);
 }
 
-TEST(ShmCache, OversizedKeySpillsToFileTier) {
-  const std::string dir = fresh_dir("esched_shm_spill_key");
-  const TieredResultCache cache(dir);
-  ASSERT_NE(cache.table(), nullptr);
-  const std::string long_key(cache.table()->key_capacity() + 1, 'k');
-  EXPECT_FALSE(cache.table()->representable(long_key));
+TEST(ShmCache, OversizedKeyStoreIsDroppedAndCounted) {
+  const std::string dir = fresh_dir("esched_shm_drop_key");
+  ShmResultCache table(dir);
+  const std::string long_key(table.key_capacity() + 1, 'k');
+  const std::uint64_t spills_before = spills();
 
-  cache.store(long_key, result_for(7));
-  // The entry must live in the file tier and still round-trip.
-  EXPECT_EQ(cache.table()->info().valid_slots, 0u);
-  EXPECT_TRUE(fs::exists(cache.files().entry_path(long_key)));
-  const auto hit = cache.load(long_key);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_TRUE(packed_identical(*hit, result_for(7)));
-  // An oversized key can never be promoted; the file copy stays.
-  EXPECT_TRUE(fs::exists(cache.files().entry_path(long_key)));
+  EXPECT_FALSE(table.store(long_key, result_for(7)));
+  EXPECT_EQ(spills() - spills_before, 1u);
+  EXPECT_FALSE(table.load(long_key).has_value());
+  EXPECT_EQ(table.info().valid_slots, 0u);
+  // Nothing else holds it: the directory is just the table file.
+  std::size_t files = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().string(), table.path());
+    ++files;
+  }
+  EXPECT_EQ(files, 1u);
   fs::remove_all(dir);
 }
 
-TEST(ShmCache, FullTableSpillsAndEveryKeyStaysServable) {
-  const std::string dir = fresh_dir("esched_shm_spill_full");
-  TieredResultCache::Options options;
-  options.create_slots = 64;  // kMinSlotCount: tiny on purpose
-  const TieredResultCache cache(dir, options);
-  ASSERT_NE(cache.table(), nullptr);
-  constexpr std::size_t kKeys = 100;  // > slot count: some must spill
-  for (std::size_t i = 0; i < kKeys; ++i) cache.store(key_for(i), result_for(i));
-  const std::uint64_t in_table = cache.table()->info().valid_slots;
-  EXPECT_LE(in_table, 64u);
-  EXPECT_LT(in_table, kKeys);  // the overflow spilled...
-  for (std::size_t i = 0; i < kKeys; ++i) {  // ...but nothing was lost
-    const auto hit = cache.load(key_for(i));
-    ASSERT_TRUE(hit.has_value()) << key_for(i);
-    EXPECT_TRUE(packed_identical(*hit, result_for(i))) << key_for(i);
+TEST(ShmCache, FullTableDropsStoresAndNeverServesAWrongResult) {
+  const std::string dir = fresh_dir("esched_shm_full");
+  ShmResultCache table(dir, 64);  // kMinSlotCount: tiny on purpose
+  constexpr std::size_t kKeys = 100;  // > slot count: some must be dropped
+  const std::uint64_t spills_before = spills();
+  std::size_t dropped = 0;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    if (!table.store(key_for(i), result_for(i))) ++dropped;
   }
-  EXPECT_EQ(cache.list_entries().size(), kKeys);
+  EXPECT_EQ(table.info().valid_slots, kKeys - dropped);
+  EXPECT_GE(dropped, kKeys - 64);
+  EXPECT_EQ(spills() - spills_before, dropped);
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const auto hit = table.load(key_for(i));
+    if (!hit.has_value()) continue;  // a dropped store: re-solve, fine
+    EXPECT_TRUE(packed_identical(*hit, result_for(i))) << key_for(i);
+    ++hits;
+  }
+  EXPECT_EQ(hits, kKeys - dropped);
+  EXPECT_EQ(result_files_in(dir), 0u);
   fs::remove_all(dir);
 }
 
 TEST(ShmCache, ChecksumCorruptionReadsAsMissNeverWrongResult) {
   const std::string dir = fresh_dir("esched_shm_corrupt");
-  fs::create_directories(dir);
-  auto table = ShmResultCache::open_or_create(dir, 64);
-  ASSERT_NE(table, nullptr);
+  auto table = std::make_unique<ShmResultCache>(dir, 64);
   ASSERT_TRUE(table->store("victim", result_for(3)));
   ASSERT_TRUE(table->load("victim").has_value());
 
@@ -216,52 +238,22 @@ TEST(ShmCache, ChecksumCorruptionReadsAsMissNeverWrongResult) {
   ASSERT_NE(remapped, nullptr);
   EXPECT_FALSE(remapped->load("victim").has_value());
   // The manifest skips it too, and compaction drops it.
-  EXPECT_TRUE(table->list_entries().empty());
-  table->compact(64);
+  EXPECT_TRUE(table->list_keys().empty());
+  const CacheGcResult compacted = table->compact(64);
+  EXPECT_EQ(compacted.removed, 0u);  // a corrupt slot is not an entry
+  EXPECT_EQ(compacted.kept, 0u);
   EXPECT_EQ(table->info().valid_slots, 0u);
   fs::remove_all(dir);
 }
 
-TEST(ShmCache, FileOnlyDirectoryUpgradesViaPromotion) {
-  const std::string dir = fresh_dir("esched_shm_promote");
-  {
-    // Legacy state: per-entry files only, no table.
-    const DiskResultCache files(dir);
-    for (std::size_t i = 0; i < 5; ++i) files.store(key_for(i), result_for(i));
-    ASSERT_FALSE(fs::exists(ShmResultCache::table_path(dir)));
-  }
-  const TieredResultCache cache(dir);
-  ASSERT_NE(cache.table(), nullptr);
-  for (std::size_t i = 0; i < 5; ++i) {
-    const auto hit = cache.load(key_for(i));
-    ASSERT_TRUE(hit.has_value()) << key_for(i);
-    EXPECT_TRUE(packed_identical(*hit, result_for(i)));
-  }
-  // Every touched key moved tiers: slot published, file retired, no
-  // double counting in the manifest.
-  EXPECT_EQ(cache.table()->info().valid_slots, 5u);
-  EXPECT_TRUE(cache.files().list_entries(false).empty());
-  const auto entries = cache.list_entries();
-  ASSERT_EQ(entries.size(), 5u);
-  for (const auto& entry : entries) EXPECT_EQ(entry.tier, "table");
-  // Table hits on the second pass (files are gone, so this proves it).
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_TRUE(cache.load(key_for(i)).has_value());
-  }
-  fs::remove_all(dir);
-}
-
-TEST(ShmCache, GcCompactsWedgedSlotsAndAppliesByteBudget) {
+TEST(ShmCache, GcReclaimsWedgedSlotsStaleTempsAndAppliesByteBudget) {
   const std::string dir = fresh_dir("esched_shm_gc");
-  TieredResultCache::Options options;
-  options.create_slots = 64;
-  const TieredResultCache cache(dir, options);
-  ASSERT_NE(cache.table(), nullptr);
-  for (std::size_t i = 0; i < 10; ++i) cache.store(key_for(i), result_for(i));
+  ShmResultCache table(dir, 64);
+  for (std::size_t i = 0; i < 10; ++i) table.store(key_for(i), result_for(i));
 
   // Simulate a writer killed between its CAS claim and its publish.
   {
-    const ShmTableInfo info = cache.table()->info();
+    const ShmTableInfo info = table.info();
     std::fstream f(info.path,
                    std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
@@ -270,39 +262,91 @@ TEST(ShmCache, GcCompactsWedgedSlotsAndAppliesByteBudget) {
     ASSERT_TRUE(empty.has_value());
     write_u64_at(f, *empty, ShmResultCache::kStateWriting);
   }
-  EXPECT_EQ(cache.table()->info().wedged_slots, 1u);
+  EXPECT_EQ(table.info().wedged_slots, 1u);
+  // A stale temp from a creator that died before publishing — and a young
+  // one that could belong to a live creator and must survive gc.
+  const std::string dead = table.path() + ".tmp.1.2";
+  const std::string live = table.path() + ".tmp.3.4";
+  std::ofstream(dead) << "junk";
+  std::ofstream(live) << "junk";
+  age_file(dead, std::chrono::hours(10));
 
-  // An age-only gc touches no table entry but rebuilds away the wedge.
-  const CacheGcResult aged = cache.gc(1e9, std::nullopt);
-  EXPECT_EQ(aged.scanned, 10u);
-  EXPECT_EQ(aged.removed, 0u);
-  EXPECT_EQ(cache.table()->info().wedged_slots, 0u);
-  EXPECT_EQ(cache.table()->info().valid_slots, 10u);
+  // gc without a budget drops no entry but rebuilds away the wedge and
+  // removes only the stale temp.
+  const CacheGcResult swept = table.gc(std::nullopt);
+  EXPECT_EQ(swept.removed, 0u);
+  EXPECT_EQ(swept.kept, 10u);
+  EXPECT_EQ(table.info().wedged_slots, 0u);
+  EXPECT_EQ(table.info().valid_slots, 10u);
+  EXPECT_FALSE(fs::exists(dead));
+  EXPECT_TRUE(fs::exists(live));
   for (std::size_t i = 0; i < 10; ++i) {
-    ASSERT_TRUE(cache.load(key_for(i)).has_value()) << key_for(i);
+    ASSERT_TRUE(table.load(key_for(i)).has_value()) << key_for(i);
   }
 
   // A byte budget for half the entries keeps the newest-stored half.
-  const std::uint64_t slot_bytes = cache.table()->slot_bytes();
-  const CacheGcResult half = cache.gc(std::nullopt, 5 * slot_bytes);
+  const std::uint64_t slot_bytes = table.slot_bytes();
+  const CacheGcResult half = table.gc(5 * slot_bytes);
   EXPECT_EQ(half.removed, 5u);
-  EXPECT_EQ(half.bytes_kept, 5 * slot_bytes);
+  EXPECT_EQ(half.kept, 5u);
   for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_FALSE(cache.load(key_for(i)).has_value()) << "oldest kept";
+    EXPECT_FALSE(table.load(key_for(i)).has_value()) << "oldest kept";
   }
   for (std::size_t i = 5; i < 10; ++i) {
-    EXPECT_TRUE(cache.load(key_for(i)).has_value()) << "newest dropped";
+    EXPECT_TRUE(table.load(key_for(i)).has_value()) << "newest dropped";
   }
 
-  // --max-bytes 0 empties the directory's entries entirely.
-  const CacheGcResult all = cache.gc(std::nullopt, 0);
+  // --max-bytes 0 empties the table entirely.
+  const CacheGcResult all = table.gc(0);
   EXPECT_EQ(all.removed, 5u);
-  EXPECT_TRUE(cache.list_entries().empty());
+  EXPECT_EQ(all.kept, 0u);
+  EXPECT_TRUE(table.list_keys().empty());
   fs::remove_all(dir);
 }
 
-TEST(SweepRunner, TableCachePersistsAcrossRunnersWithoutEntryFiles) {
-  const std::string dir = fresh_dir("esched_shm_sweep");
+TEST(ShmCache, IncompatibleTableIsRefusedNamingTheFileToDelete) {
+  const std::string dir = fresh_dir("esched_shm_incompatible");
+  std::string path;
+  {
+    ShmResultCache table(dir, 64);
+    ASSERT_TRUE(table.store(key_for(1), result_for(1)));
+    path = table.path();
+  }
+  // Another build's table: same size, different magic.
+  {
+    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(f.good());
+    f.seekp(0);
+    f.write("NOTATABL", 8);
+  }
+  const auto bytes_before = fs::file_size(path);
+  const auto expect_refusal = [&](const auto& open) {
+    try {
+      open();
+      ADD_FAILURE() << "an incompatible table was opened";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'" + path + "'"), std::string::npos) << what;
+      EXPECT_NE(what.find("delete it"), std::string::npos) << what;
+    }
+  };
+  expect_refusal([&] { ShmResultCache table(dir); });
+  expect_refusal([&] { ShmResultCache::open_existing(dir); });
+  SweepRunner runner(1);
+  expect_refusal([&] { runner.set_cache_dir(dir); });
+  // Refusal leaves the file as it was: another build may still use it.
+  EXPECT_EQ(fs::file_size(path), bytes_before);
+  char magic[8] = {};
+  std::ifstream(path, std::ios::binary).read(magic, sizeof(magic));
+  EXPECT_EQ(std::string(magic, sizeof(magic)), "NOTATABL");
+
+  // No table file at all is not an error for inspection.
+  fs::remove(path);
+  EXPECT_EQ(ShmResultCache::open_existing(dir), nullptr);
+  fs::remove_all(dir);
+}
+
+Scenario small_qbd_scenario() {
   Scenario s;
   s.name = "shm";
   s.k_values = {2, 4};
@@ -311,7 +355,47 @@ TEST(SweepRunner, TableCachePersistsAcrossRunnersWithoutEntryFiles) {
   s.mu_e_values = {1.0};
   s.policies = {"IF", "EF"};
   s.solvers = {SolverKind::kQbdAnalysis};
-  const auto points = s.expand();
+  return s;
+}
+
+TEST(SweepRunner, LegacyFileOnlyDirectoryReSolves) {
+  const std::string dir = fresh_dir("esched_shm_legacy");
+  fs::create_directories(dir);
+  const auto points = small_qbd_scenario().expand();
+  // Legacy state: one `<hash>.result` entry file per point, in the old
+  // text format but holding a wrong answer — a sweep must never read it.
+  for (const RunPoint& point : points) {
+    const std::string key = point.cache_key();
+    char name[32];
+    std::snprintf(name, sizeof(name), "%016llx.result",
+                  static_cast<unsigned long long>(fnv1a64(key)));
+    std::ofstream(dir + "/" + name)
+        << "key " << key << "\nesched-cache-v1\net 12345\n";
+  }
+
+  SweepRunner uncached(2);
+  const auto expected = uncached.run(points, nullptr);
+  SweepRunner runner(2);
+  runner.set_cache_dir(dir);
+  SweepStats stats;
+  const auto results = runner.run(points, &stats);
+  EXPECT_EQ(stats.disk_hits, 0u);
+  EXPECT_EQ(stats.solved_points, points.size());
+  for (std::size_t n = 0; n < points.size(); ++n) {
+    RunResult a = expected[n];
+    RunResult b = results[n];
+    a.solve_seconds = b.solve_seconds = 0.0;  // wall time, not the answer
+    EXPECT_TRUE(packed_identical(a, b)) << points[n].cache_key();
+  }
+  // The re-solves landed in the table; the legacy files are left alone.
+  EXPECT_EQ(ShmResultCache(dir).info().valid_slots, points.size());
+  EXPECT_EQ(result_files_in(dir), points.size());
+  fs::remove_all(dir);
+}
+
+TEST(SweepRunner, TableCachePersistsAcrossRunnersWithoutEntryFiles) {
+  const std::string dir = fresh_dir("esched_shm_sweep");
+  const auto points = small_qbd_scenario().expand();
 
   SweepRunner first(2);
   first.set_cache_dir(dir);
@@ -320,11 +404,7 @@ TEST(SweepRunner, TableCachePersistsAcrossRunnersWithoutEntryFiles) {
   EXPECT_EQ(cold.solved_points, points.size());
 
   // Everything landed in the table: no per-entry files were written.
-  std::size_t result_files = 0;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".result") ++result_files;
-  }
-  EXPECT_EQ(result_files, 0u);
+  EXPECT_EQ(result_files_in(dir), 0u);
   EXPECT_TRUE(fs::exists(ShmResultCache::table_path(dir)));
 
   SweepRunner second(2);
@@ -377,12 +457,8 @@ int hammer_process(const std::string& dir, std::size_t keys, unsigned salt) {
 
 TEST(ShmCacheHammer, ThreadsTimesProcessesSurviveAMidStoreKill) {
   const std::string dir = fresh_dir("esched_shm_hammer");
-  fs::create_directories(dir);
   constexpr std::size_t kKeys = 96;
-  {
-    auto table = ShmResultCache::open_or_create(dir, 512);
-    ASSERT_NE(table, nullptr);
-  }
+  { const ShmResultCache table(dir, 512); }
 
   // Process 1: a doomed single-threaded writer storing in a loop; the
   // parent SIGKILLs it mid-store, which may wedge at most one slot.
@@ -429,13 +505,9 @@ TEST(ShmCacheHammer, ThreadsTimesProcessesSurviveAMidStoreKill) {
   const ShmTableInfo info = table->info();
   EXPECT_EQ(info.valid_slots, kKeys);
   EXPECT_LE(info.wedged_slots, 1u);
-  TieredResultCache::Options options;
-  options.create_table = false;
-  const TieredResultCache cache(dir, options);
-  ASSERT_NE(cache.table(), nullptr);
-  cache.gc(1e9, std::nullopt);
-  EXPECT_EQ(cache.table()->info().wedged_slots, 0u);
-  EXPECT_EQ(cache.table()->info().valid_slots, kKeys);
+  table->gc(std::nullopt);
+  EXPECT_EQ(table->info().wedged_slots, 0u);
+  EXPECT_EQ(table->info().valid_slots, kKeys);
   fs::remove_all(dir);
 }
 

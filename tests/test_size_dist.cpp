@@ -58,6 +58,11 @@ TEST(SizeDistSpec, CanonicalFormsRoundTrip) {
   // Parameters re-emit in shortest round-trip form.
   EXPECT_EQ(SizeDistSpec::parse("erlang:03").canonical(), "erlang:3");
   EXPECT_EQ(SizeDistSpec::parse("lognormal:4.0").canonical(), "lognormal:4");
+  EXPECT_EQ(SizeDistSpec::parse("hyperexp:0.5,20,0.5").canonical(),
+            "hyperexp:0.5,20,0.5");
+  // -0 and 0 name the same distribution, so they share one canonical form.
+  EXPECT_EQ(SizeDistSpec::parse("coxian2:2,1,-0").canonical(),
+            "coxian2:2,1,0");
 }
 
 TEST(SizeDistSpec, MalformedSpecsAreNamed) {

@@ -4,6 +4,7 @@
 // loader's error messages (which must name the offending field).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <fstream>
 
 #include "common/error.hpp"
@@ -62,12 +63,17 @@ TEST(Json, ErrorsCarryLineAndColumn) {
 
 TEST(Json, NumberSerializationRoundTripsBitwise) {
   for (const double value :
-       {0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 1e-300, 6.02e23, 0.7,
-        0.1234567890123456789, 2.2250738585072014e-308}) {
+       {0.0, -0.0, 1.0, -1.5, 0.1, 1.0 / 3.0, 1e-300, 6.02e23, 0.7,
+        0.1234567890123456789, 2.2250738585072014e-308, 20.0, 60.0, 190.0,
+        1e15 - 1.0}) {
     const std::string text = json_number_to_string(value);
-    const JsonValue parsed = parse_json(text);
-    EXPECT_EQ(parsed.as_number("n"), value) << text;
+    const double parsed = parse_json(text).as_number("n");
+    EXPECT_EQ(std::memcmp(&parsed, &value, sizeof(value)), 0) << text;
   }
+  // Integral values print as integers, never in exponent form.
+  EXPECT_EQ(json_number_to_string(60.0), "60");
+  EXPECT_EQ(json_number_to_string(1e15 - 1.0), "999999999999999");
+  EXPECT_EQ(json_number_to_string(-0.0), "-0");
 }
 
 TEST(Json, DumpParseRoundTrip) {

@@ -1,14 +1,10 @@
 // Tests for the streaming/resume/merge layer: streamed CSVs match batch
 // CSVs byte-for-byte, an interrupted stream resumes to a byte-identical
 // file, `merge_csv_reports` of shard CSVs reproduces the unsharded report
-// (including empty shards), shard range math survives huge totals, the
-// disk-cache field table keeps serializer/deserializer/count in sync, and
-// `cache ls/gc` manifest + eviction behave.
+// (including empty shards), and shard range math survives huge totals.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -16,7 +12,6 @@
 
 #include "common/csv.hpp"
 #include "common/error.hpp"
-#include "engine/disk_cache.hpp"
 #include "engine/report.hpp"
 #include "engine/scenario.hpp"
 #include "engine/sweep_runner.hpp"
@@ -321,90 +316,6 @@ TEST(Merge, RejectsMismatchedHeadersAndTruncatedRows) {
   std::remove(a.c_str());
   std::remove(b.c_str());
   std::remove(out.c_str());
-}
-
-TEST(DiskCacheFieldTable, SerializerAndCountStayInSync) {
-  RunResult r;
-  r.mean_response_time = 1.25;
-  r.num_states = 421;
-  r.dom_checkpoints = 17;
-  r.solver_iterations = 33;
-  r.solve_seconds = 0.125;
-  const std::string text = serialize_run_result(r);
-
-  // One line per table field plus the format tag.
-  std::size_t lines = 0;
-  for (const char c : text) lines += (c == '\n') ? 1 : 0;
-  EXPECT_EQ(lines, run_result_field_count() + 1);
-
-  const auto loaded = deserialize_run_result(text);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_TRUE(numerically_equal(*loaded, r));
-  EXPECT_EQ(loaded->solve_seconds, r.solve_seconds);
-
-  // Dropping ANY single field line must read as a miss — the expected
-  // count comes from the same table as the serializer, so the two cannot
-  // silently desync when RunResult grows a field.
-  std::vector<std::string> all_lines;
-  std::istringstream in(text);
-  std::string line;
-  while (std::getline(in, line)) all_lines.push_back(line);
-  for (std::size_t drop = 1; drop < all_lines.size(); ++drop) {
-    std::ostringstream damaged;
-    for (std::size_t n = 0; n < all_lines.size(); ++n) {
-      if (n != drop) damaged << all_lines[n] << '\n';
-    }
-    EXPECT_FALSE(deserialize_run_result(damaged.str()).has_value())
-        << "dropped: " << all_lines[drop];
-  }
-}
-
-TEST(DiskCacheHygiene, ListAndGcEvictOldestFirst) {
-  namespace fs = std::filesystem;
-  const std::string dir = testing::TempDir() + "esched_cache_gc_test";
-  fs::remove_all(dir);
-  const DiskResultCache cache(dir);
-
-  RunResult r;
-  r.mean_response_time = 2.0;
-  cache.store("key-a", r);
-  cache.store("key-b", r);
-  cache.store("key-c", r);
-  // Age key-a artificially so eviction order is deterministic.
-  fs::last_write_time(cache.entry_path("key-a"),
-                      fs::file_time_type::clock::now() -
-                          std::chrono::hours(10));
-  // A stale temp file from a crashed writer — and a fresh one that
-  // could belong to a live concurrent store and must survive gc.
-  write_file(dir + "/dead.result.tmp.1.2", "junk");
-  fs::last_write_time(dir + "/dead.result.tmp.1.2",
-                      fs::file_time_type::clock::now() -
-                          std::chrono::hours(10));
-  write_file(dir + "/live.result.tmp.3.4", "junk");
-
-  auto entries = cache.list_entries();
-  ASSERT_EQ(entries.size(), 3u);
-  EXPECT_EQ(entries.front().key, "key-a");  // oldest first
-  for (const auto& entry : entries) {
-    EXPECT_GT(entry.bytes, 0u);
-    EXPECT_FALSE(entry.key.empty());
-  }
-
-  // Age-based eviction takes only the old entry (and the temp file).
-  const CacheGcResult aged = cache.gc(3600.0, std::nullopt);
-  EXPECT_EQ(aged.scanned, 3u);
-  EXPECT_EQ(aged.removed, 1u);
-  EXPECT_FALSE(cache.load("key-a").has_value());
-  EXPECT_TRUE(cache.load("key-b").has_value());
-  EXPECT_FALSE(fs::exists(dir + "/dead.result.tmp.1.2"));
-  EXPECT_TRUE(fs::exists(dir + "/live.result.tmp.3.4"));
-
-  // Size-based eviction clears the rest.
-  const CacheGcResult sized = cache.gc(std::nullopt, std::uintmax_t{0});
-  EXPECT_EQ(sized.removed, 2u);
-  EXPECT_EQ(sized.bytes_kept, 0u);
-  EXPECT_TRUE(cache.list_entries().empty());
-  fs::remove_all(dir);
 }
 
 }  // namespace

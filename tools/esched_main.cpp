@@ -15,7 +15,7 @@
 //   esched merge s0.csv s1.csv --out merged.csv
 //   esched merge a.json b.json --out m.json    # JSON reports merge too
 //   esched cache ls --cache-dir .esched-cache
-//   esched cache gc --cache-dir .esched-cache --max-age 86400
+//   esched cache gc --cache-dir .esched-cache --max-bytes 8000000
 //
 // Distributed sweeps (the filesystem work queue, src/dist):
 //
@@ -52,7 +52,6 @@
 #include "common/json.hpp"
 #include "dist/work_queue.hpp"
 #include "dist/worker.hpp"
-#include "engine/disk_cache.hpp"
 #include "engine/report.hpp"
 #include "engine/shm_cache.hpp"
 #include "engine/scenario.hpp"
@@ -76,7 +75,7 @@ void print_usage() {
       "       esched merge <shard.csv>... --out merged.csv\n"
       "       esched merge <shard.json>... --out merged.json\n"
       "       esched cache ls --cache-dir D [--format text|json]\n"
-      "       esched cache gc --cache-dir D [--max-age S] [--max-bytes B]\n"
+      "       esched cache gc --cache-dir D [--max-bytes B]\n"
       "       esched cache init --cache-dir D [--slots N]\n"
       "       esched cache info --cache-dir D\n"
       "       esched queue init <scenario-or-spec.json>... --queue-dir Q\n"
@@ -147,10 +146,13 @@ void print_usage() {
       "                  case; exits 1 when any case's mean AND p50 both\n"
       "                  grew more than --threshold (default 0.25 = +25%%)\n"
       "\n"
-      "cache options:\n"
-      "  --max-age S     gc: evict entries older than S seconds\n"
-      "  --max-bytes B   gc: then evict oldest until the directory holds\n"
-      "                  at most B bytes\n"
+      "cache options (--cache-dir D holds one mmap'd table file,\n"
+      "D/table.esched; *.result files left by older builds are unused\n"
+      "and can be deleted by hand):\n"
+      "  --max-bytes B   gc: evict the oldest-stored entries until the\n"
+      "                  table holds at most B bytes of entries; without\n"
+      "                  it, gc only reclaims slots wedged by killed\n"
+      "                  writers and stale temp files\n"
       "\n"
       "distributed queue (many `esched work` processes on one queue\n"
       "directory — local disk or a shared filesystem — cooperatively solve\n"
@@ -274,8 +276,8 @@ int run_merge(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// `esched cache ls|gc|init|info --cache-dir D [--max-age S]
-/// [--max-bytes B] [--format text|json] [--slots N]`
+/// `esched cache ls|gc|init|info --cache-dir D [--max-bytes B]
+/// [--format text|json] [--slots N]`
 int run_cache(const std::vector<std::string>& args) {
   if (args.empty() || (args[0] != "ls" && args[0] != "gc" &&
                        args[0] != "init" && args[0] != "info")) {
@@ -284,7 +286,6 @@ int run_cache(const std::vector<std::string>& args) {
   const std::string action = args[0];
   std::string cache_dir;
   std::string format = "text";
-  std::optional<double> max_age;
   std::optional<std::uintmax_t> max_bytes;
   std::uint64_t slots = esched::ShmResultCache::kDefaultSlotCount;
   for (std::size_t n = 1; n < args.size(); ++n) {
@@ -296,9 +297,6 @@ int run_cache(const std::vector<std::string>& args) {
     };
     if (args[n] == "--cache-dir") {
       cache_dir = next_value("--cache-dir");
-    } else if (args[n] == "--max-age" && action == "gc") {
-      max_age = static_cast<double>(
-          parse_long("--max-age", next_value("--max-age")));
     } else if (args[n] == "--max-bytes" && action == "gc") {
       max_bytes = static_cast<std::uintmax_t>(
           parse_long("--max-bytes", next_value("--max-bytes")));
@@ -320,13 +318,8 @@ int run_cache(const std::vector<std::string>& args) {
   }
 
   if (action == "init") {
-    const esched::DiskResultCache dir(cache_dir);  // creates the directory
-    const auto table = esched::ShmResultCache::open_or_create(cache_dir, slots);
-    if (table == nullptr) {
-      throw esched::Error("cannot create a cache table in '" + cache_dir +
-                          "' (unwritable directory, or no mmap support)");
-    }
-    const esched::ShmTableInfo info = table->info();
+    const esched::ShmResultCache table(cache_dir, slots);
+    const esched::ShmTableInfo info = table.info();
     std::printf(
         "cache table %s: %ju slots x %ju B (payload %ju B, keys up to %ju B), "
         "%ju entries\n",
@@ -340,88 +333,77 @@ int run_cache(const std::vector<std::string>& args) {
 
   // ls/gc/info never create the table: inspecting (or shrinking) a cache
   // directory must not seed a 16 MiB table file in it. Sweeps and `cache
-  // init` create tables.
-  esched::TieredResultCache::Options options;
-  options.create_table = false;
-  const esched::TieredResultCache cache(cache_dir, options);
+  // init` create tables. A table this build cannot use throws, naming the
+  // file to delete.
+  const auto table = esched::ShmResultCache::open_existing(cache_dir);
 
   if (action == "info") {
-    if (const esched::ShmResultCache* table = cache.table()) {
-      const esched::ShmTableInfo info = table->info();
-      std::printf("table %s (format v%ju)\n", info.path.c_str(),
-                  static_cast<std::uintmax_t>(info.format_version));
+    if (table == nullptr) {
       std::printf(
-          "  %ju slots x %ju B, payload %ju B, keys up to %ju B, file %ju B\n",
-          static_cast<std::uintmax_t>(info.slot_count),
-          static_cast<std::uintmax_t>(info.slot_bytes),
-          static_cast<std::uintmax_t>(info.payload_bytes),
-          static_cast<std::uintmax_t>(info.key_capacity),
-          static_cast<std::uintmax_t>(info.file_bytes));
-      std::printf("  %ju entries, %ju wedged slot%s\n",
-                  static_cast<std::uintmax_t>(info.valid_slots),
-                  static_cast<std::uintmax_t>(info.wedged_slots),
-                  info.wedged_slots == 1 ? "" : "s");
-    } else {
-      std::printf(
-          "no cache table in %s (file tier only; 'esched cache init' or any "
-          "sweep with --cache-dir creates one)\n",
+          "no cache table in %s ('esched cache init' or any sweep with "
+          "--cache-dir creates one)\n",
           cache_dir.c_str());
+      return 0;
     }
-    const auto files = cache.files().list_entries(false);
-    std::uintmax_t file_bytes = 0;
-    for (const auto& entry : files) file_bytes += entry.bytes;
-    std::printf("file tier: %zu entr%s, %ju bytes\n", files.size(),
-                files.size() == 1 ? "y" : "ies", file_bytes);
+    const esched::ShmTableInfo info = table->info();
+    std::printf("table %s (format v%ju)\n", info.path.c_str(),
+                static_cast<std::uintmax_t>(info.format_version));
+    std::printf(
+        "  %ju slots x %ju B, payload %ju B, keys up to %ju B, file %ju B\n",
+        static_cast<std::uintmax_t>(info.slot_count),
+        static_cast<std::uintmax_t>(info.slot_bytes),
+        static_cast<std::uintmax_t>(info.payload_bytes),
+        static_cast<std::uintmax_t>(info.key_capacity),
+        static_cast<std::uintmax_t>(info.file_bytes));
+    std::printf("  %ju entries, %ju wedged slot%s\n",
+                static_cast<std::uintmax_t>(info.valid_slots),
+                static_cast<std::uintmax_t>(info.wedged_slots),
+                info.wedged_slots == 1 ? "" : "s");
     return 0;
   }
 
   if (action == "ls") {
-    const auto entries = cache.list_entries();
-    std::uintmax_t total_bytes = 0;
-    for (const auto& entry : entries) total_bytes += entry.bytes;
+    const std::vector<std::string> keys =
+        table != nullptr ? table->list_keys() : std::vector<std::string>{};
+    const std::uintmax_t slot_bytes =
+        table != nullptr ? table->slot_bytes() : 0;
+    const std::uintmax_t total_bytes = keys.size() * slot_bytes;
     if (format == "json") {
       // Machine-readable manifest: same fields as the text table.
       esched::JsonValue doc = esched::JsonValue::make_object();
       doc.set("cache_dir", esched::JsonValue::make_string(cache_dir));
       esched::JsonValue rows = esched::JsonValue::make_array();
-      for (const auto& entry : entries) {
+      for (const std::string& key : keys) {
         esched::JsonValue row = esched::JsonValue::make_object();
-        row.set("key", esched::JsonValue::make_string(entry.key));
-        row.set("path", esched::JsonValue::make_string(entry.path));
+        row.set("key", esched::JsonValue::make_string(key));
+        row.set("path", esched::JsonValue::make_string(table->path()));
         row.set("bytes", esched::JsonValue::make_number(
-                             static_cast<double>(entry.bytes)));
-        row.set("age_seconds",
-                esched::JsonValue::make_number(entry.age_seconds));
-        row.set("tier", esched::JsonValue::make_string(entry.tier));
+                             static_cast<double>(slot_bytes)));
         rows.push_back(std::move(row));
       }
       doc.set("entries", std::move(rows));
       doc.set("count", esched::JsonValue::make_number(
-                           static_cast<double>(entries.size())));
+                           static_cast<double>(keys.size())));
       doc.set("total_bytes", esched::JsonValue::make_number(
                                  static_cast<double>(total_bytes)));
       std::printf("%s\n", doc.dump().c_str());
       return 0;
     }
-    for (const auto& entry : entries) {
-      std::printf("%8ju B  age %8.0f s  %-5s  %s\n",
-                  static_cast<std::uintmax_t>(entry.bytes), entry.age_seconds,
-                  entry.tier.c_str(),
-                  entry.key.empty() ? entry.path.c_str() : entry.key.c_str());
+    for (const std::string& key : keys) {
+      std::printf("%8ju B  %s\n", slot_bytes, key.c_str());
     }
-    std::printf("total: %zu entr%s, %ju bytes in %s\n", entries.size(),
-                entries.size() == 1 ? "y" : "ies", total_bytes,
+    std::printf("total: %zu entr%s, %ju bytes in %s\n", keys.size(),
+                keys.size() == 1 ? "y" : "ies", total_bytes,
                 cache_dir.c_str());
     return 0;
   }
-  if (!max_age.has_value() && !max_bytes.has_value()) {
-    throw esched::Error("cache gc needs --max-age and/or --max-bytes");
-  }
-  const esched::CacheGcResult result = cache.gc(max_age, max_bytes);
+  const esched::CacheGcResult result =
+      table != nullptr ? table->gc(max_bytes) : esched::CacheGcResult{};
+  const std::uintmax_t slot_bytes = table != nullptr ? table->slot_bytes() : 0;
   std::printf(
       "cache gc: removed %zu of %zu entries (%ju bytes freed, %ju kept)\n",
-      result.removed, result.scanned, result.bytes_removed,
-      result.bytes_kept);
+      result.removed, result.removed + result.kept,
+      result.removed * slot_bytes, result.kept * slot_bytes);
   return 0;
 }
 

@@ -199,7 +199,6 @@ std::vector<std::string> parse_allows(const std::string& raw) {
 
 bool in_atomic_publication_zone(const std::string& path) {
   return path.rfind("src/dist/", 0) == 0 || path.rfind("src/obs/", 0) == 0 ||
-         path.rfind("src/engine/disk_cache", 0) == 0 ||
          path.rfind("src/engine/shm_cache", 0) == 0;
 }
 

@@ -4,8 +4,7 @@
 // that no off-the-shelf tool knows about:
 //
 //   raw-file-io         In the atomic-publication zones (src/dist/,
-//                       src/obs/, src/engine/disk_cache.*,
-//                       src/engine/shm_cache.*) files must be
+//                       src/obs/, src/engine/shm_cache.*) files must be
 //                       published through common/atomic_file
 //                       (atomic_write_file / atomic_publish_file), never
 //                       via raw std::ofstream / fopen / rename — a torn
