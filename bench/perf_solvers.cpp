@@ -302,6 +302,70 @@ std::vector<BenchCase> build_cases() {
                static_cast<double>(r.solve_info.iterations);
          }});
   }
+  // Auto's method choice against both forced methods on the chains where
+  // a flop gate used to pick wrong: Erlang-3 chains whose dense blocks make
+  // SOR the faster method, and rho = 0.9 exponential chains where block
+  // is. The counters are the cost model's features and predictions, and
+  // stationary_s (fastest iteration) is what the model predicts: the fit
+  // of auto's coefficients in core/exact_ctmc.cpp reads these cases.
+  struct AutoChain {
+    const char* name;
+    int k;
+    const char* policy;
+    const char* size_dist_i;  ///< nullptr = exponential
+    long truncation;
+  };
+  for (const AutoChain& chain : {
+           AutoChain{"erlang3_k4_trunc20_IF", 4, "IF", "erlang:3", 20},
+           AutoChain{"erlang3_k4_trunc20_EF", 4, "EF", "erlang:3", 20},
+           AutoChain{"erlang3_k8_trunc14_IF", 8, "IF", "erlang:3", 14},
+           AutoChain{"exp_k4_eps1e-4_IF", 4, "IF", nullptr,
+                     suggested_truncation(0.9, 1e-4)},
+           AutoChain{"exp_k4_eps1e-9_IF", 4, "IF", nullptr,
+                     suggested_truncation(0.9, 1e-9)}}) {
+    for (const StationaryMethod method :
+         {StationaryMethod::kAuto, StationaryMethod::kBlock,
+          StationaryMethod::kSor}) {
+      const bool smoke_case = chain.size_dist_i != nullptr &&
+                              chain.k == 4 && chain.policy[0] == 'I' &&
+                              method == StationaryMethod::kAuto;
+      cases.push_back(
+          {"exact_auto/" + std::string(chain.name) +
+               "/method=" + stationary_method_name(method),
+           !smoke_case, 0.0,
+           [chain, method](std::map<std::string, double>& counters) {
+             const bool erlang = chain.size_dist_i != nullptr;
+             const SystemParams p = SystemParams::from_load(
+                 chain.k, 1.0, 1.0, erlang ? 0.7 : 0.9);
+             const auto policy = make_policy(chain.policy);
+             ExactCtmcOptions opt;
+             opt.imax = opt.jmax = chain.truncation;
+             opt.method = method;
+             const ExactCtmcResult r =
+                 erlang ? solve_exact_ctmc_ph(
+                              p, *policy,
+                              SizeDistSpec::parse(chain.size_dist_i)
+                                  .compile(p.mu_i),
+                              opt)
+                        : solve_exact_ctmc(p, *policy, opt);
+             g_sink = r.mean_response_time;
+             const ExactCostPrediction& model = r.prediction;
+             counters["states"] = static_cast<double>(r.num_states);
+             counters["levels"] = model.levels;
+             counters["nnz"] = model.nnz;
+             counters["flop_estimate"] = model.flop_estimate;
+             counters["workspace_bytes"] = model.workspace_bytes;
+             counters["predicted_block_s"] = model.block_seconds;
+             counters["predicted_sor_s"] = model.sor_seconds;
+             counters["ran_block"] = r.solve_info.method == "block" ? 1 : 0;
+             counters["solver_iterations"] =
+                 static_cast<double>(r.solve_info.iterations);
+             const auto [it, fresh] =
+                 counters.try_emplace("stationary_s", r.solve_info.seconds);
+             if (!fresh) it->second = std::min(it->second, r.solve_info.seconds);
+           }});
+    }
+  }
   {
     constexpr std::uint64_t kJobs = 20000;
     // Per-iteration seed bump keeps iterations honest (no chance of the

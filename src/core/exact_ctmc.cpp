@@ -13,6 +13,7 @@
 #include "markov/ctmc.hpp"
 #include "markov/stationary.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 
 namespace esched {
 
@@ -34,36 +35,66 @@ std::size_t state_index(long i, long j, long nj) {
 /// request for O(n^2) memory and O(n^3) time that block/SOR do better.
 constexpr std::size_t kDenseGthLimit = 5000;
 
-/// Auto only picks the block solver when its estimated elimination work
-/// stays below this (~a second or two of arithmetic). Chains whose blocks
-/// are effectively dense — e.g. multi-server phase-augmented chains where
-/// nearly every state receives a down-transition — exceed it and go to
-/// SOR, which scales with nnz * sweeps instead of block^3.
-constexpr double kAutoBlockFlopLimit = 2e9;
+/// Auto's cost model, in seconds of stationary solve. Block elimination
+/// pays for its flops and for streaming its factor workspace. SOR pays per
+/// stored rate per sweep, and its sweep count grows with the square of
+/// the level count (the chain's diameter along the levels). The values
+/// are a least-squares fit of log stationary_s over the forced
+/// method=block and method=sor cases of the exact_auto/* family in
+/// bench/perf_solvers.cpp on a 4-core x86-64 host; the snapshot taken
+/// with them, bench/snapshots/BENCH_perf_pr13.json, measures each forced
+/// case at 0.65-2.1x its prediction. Only the ratios steer the choice.
+/// Known miss: at truncation far deeper than the load needs (rho = 0.7,
+/// 161+ levels) SOR converges in far fewer than levels^2 sweeps, and
+/// auto keeps block at up to 2x SOR's time.
+constexpr double kBlockSecondsPerFlop = 0.28e-9;
+constexpr double kBlockSecondsPerByte = 0.67e-9;
+constexpr double kSorSecondsPerNnzLevel2 = 1.85e-9;
+
+ExactCostPrediction predict_cost(const CsrMatrix& rates,
+                                 const std::vector<std::uint32_t>& level_of) {
+  ExactCostPrediction p;
+  p.flop_estimate = block_solver_flop_estimate(rates, level_of);
+  p.workspace_bytes =
+      static_cast<double>(block_solver_workspace_bytes(level_of));
+  p.nnz = static_cast<double>(rates.nnz());
+  p.levels =
+      static_cast<double>(*std::max_element(level_of.begin(), level_of.end())) +
+      1.0;
+  p.block_seconds = kBlockSecondsPerFlop * p.flop_estimate +
+                    kBlockSecondsPerByte * p.workspace_bytes;
+  p.sor_seconds = kSorSecondsPerNnzLevel2 * p.nnz * p.levels * p.levels;
+  return p;
+}
 
 /// Runs the stationary solve with the selected (or auto-chosen) method,
 /// recording per-method solve-time / state-count metrics. `level_of` may
-/// be empty when the chain has no usable level structure.
+/// be empty when the chain has no usable level structure. Above
+/// gth_state_limit `prediction` receives auto's evidence (for every
+/// method); an auto solve also records its actual / predicted ratio in
+/// the metrics and on the caller's open trace span.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
     const CsrMatrix& rates, const Vector& exit_rates,
     const std::vector<std::uint32_t>& level_of,
-    const ExactCtmcOptions& options) {
+    const ExactCtmcOptions& options, ExactCostPrediction* prediction) {
   const std::size_t n = rates.rows();
   const bool auto_selected = options.method == StationaryMethod::kAuto;
+  const bool predicted = n > options.gth_state_limit && !level_of.empty();
+  if (predicted) *prediction = predict_cost(rates, level_of);
   StationaryMethod method = options.method;
   if (auto_selected) {
     if (n <= options.gth_state_limit) {
       method = StationaryMethod::kGth;
-    } else if (!level_of.empty() &&
-               block_solver_workspace_bytes(level_of) <=
-                   options.block_memory_limit &&
-               block_solver_flop_estimate(rates, level_of) <=
-                   kAutoBlockFlopLimit) {
+    } else if (predicted &&
+               prediction->workspace_bytes <=
+                   static_cast<double>(options.block_memory_limit) &&
+               prediction->block_seconds <= prediction->sor_seconds) {
       method = StationaryMethod::kBlock;
     } else {
       method = StationaryMethod::kSor;
     }
   }
+  const StationaryMethod chosen = method;
 
   const auto start = std::chrono::steady_clock::now();
   Vector pi;
@@ -123,12 +154,24 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
+  solve_info.seconds = seconds;
   MetricsRegistry& metrics = global_metrics();
   const std::string prefix =
       std::string("exact.method.") + solve_info.method;
   metrics.counter(prefix + ".solves").add();
   metrics.histogram(prefix + ".seconds").record(seconds);
   metrics.histogram(prefix + ".states").record(static_cast<double>(n));
+  if (auto_selected && predicted) {
+    const double predicted_seconds = chosen == StationaryMethod::kBlock
+                                         ? prediction->block_seconds
+                                         : prediction->sor_seconds;
+    const double ratio = seconds / predicted_seconds;
+    metrics.histogram("exact.auto.prediction_ratio").record(ratio);
+    trace_span_annotate({{"predicted_block_s", prediction->block_seconds},
+                         {"predicted_sor_s", prediction->sor_seconds},
+                         {"method", solve_info.method},
+                         {"prediction_ratio", ratio}});
+  }
   return {std::move(pi), std::move(solve_info)};
 }
 
@@ -217,10 +260,10 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
     }
   }
 
-  auto [pi, solve_info] =
-      solve_stationary(scratch_rates_, scratch_exit_, level_of_, options_);
-
   ExactCtmcResult result;
+  auto [pi, solve_info] = solve_stationary(scratch_rates_, scratch_exit_,
+                                           level_of_, options_,
+                                           &result.prediction);
   result.num_states = num_states;
   result.solve_info = solve_info;
   for (long i = 0; i < ni; ++i) {
@@ -431,10 +474,10 @@ class PhChainBuilder {
       level_of[n] = static_cast<std::uint32_t>(started + st.w);
     }
 
-    auto [pi, solve_info] = solve_stationary(
-        chain.rate_matrix(), chain.exit_rates(), level_of, options_);
-
     ExactCtmcResult result;
+    auto [pi, solve_info] =
+        solve_stationary(chain.rate_matrix(), chain.exit_rates(), level_of,
+                         options_, &result.prediction);
     result.num_states = states_.size();
     result.solve_info = solve_info;
     for (std::size_t n = 0; n < states_.size(); ++n) {

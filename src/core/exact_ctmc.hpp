@@ -24,10 +24,12 @@ namespace esched {
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
-  /// Stationary-solver selection. kAuto keeps the historical behavior for
-  /// small chains (dense GTH up to gth_state_limit states) and otherwise
-  /// prefers the block-tridiagonal direct solver — falling back to SOR
-  /// when the block factors would exceed block_memory_limit bytes.
+  /// Stationary-solver selection. kAuto keeps dense GTH up to
+  /// gth_state_limit states; above it, it predicts the seconds of the
+  /// block-tridiagonal direct solver and of SOR from the built chain (see
+  /// ExactCostPrediction) and takes the cheaper one, never block when its
+  /// factors would exceed block_memory_limit bytes. The choice is a pure
+  /// function of the chain, so it never depends on timing or threads.
   StationaryMethod method = StationaryMethod::kAuto;
   /// Use dense GTH elimination when the state count is at most this (and
   /// method is kAuto). GTH is direct; SOR iterates to `sor_tol`.
@@ -39,6 +41,19 @@ struct ExactCtmcOptions {
   /// block_solver_workspace_bytes). kAuto falls back to SOR above it; an
   /// explicit kBlock request throws instead.
   std::size_t block_memory_limit = std::size_t{4} << 30;
+};
+
+/// Auto's evidence for one chain above gth_state_limit: the features its
+/// cost model reads and the stationary-solve seconds it predicts for each
+/// method. Filled for every method (the bench fits the model from forced
+/// runs); all zero for chains at or under gth_state_limit.
+struct ExactCostPrediction {
+  double flop_estimate = 0.0;    ///< block_solver_flop_estimate
+  double workspace_bytes = 0.0;  ///< block_solver_workspace_bytes
+  double nnz = 0.0;              ///< stored off-diagonal rates
+  double levels = 0.0;           ///< level count of the block partition
+  double block_seconds = 0.0;    ///< a * flop_estimate + b * workspace_bytes
+  double sor_seconds = 0.0;      ///< c * nnz * levels^2
 };
 
 /// Results of the truncated stationary solve.
@@ -57,6 +72,7 @@ struct ExactCtmcResult {
   /// residual; the SOR path reports the iterative solver's own exit
   /// state. solve_info.method names the solver that actually ran.
   StationarySolveInfo solve_info;
+  ExactCostPrediction prediction;
 };
 
 /// Solves the truncated chain for `policy` at `params`. Requires rho < 1
@@ -71,16 +87,16 @@ ExactCtmcResult solve_exact_ctmc(const SystemParams& params,
 /// arrival transitions are frozen into a CSR skeleton once, and each
 /// solve() overlays the policy's service rates into a reusable scratch
 /// matrix before solving — no per-policy rebuild, no per-solve adjacency
-/// copies. Every policy-family sweep (the §4 optimality table, the
-/// engine's exact-CTMC point groups) hits the same params with many
-/// policies, so the per-policy rebuild is pure waste. solve() is bitwise
-/// identical to solve_exact_ctmc on the same inputs — rates are
-/// accumulated per state in the same order — which is what lets the sweep
-/// engine batch transparently under its memo cache.
+/// copies, for a caller that solves many policies at the same params on
+/// one thread. solve() is bitwise identical to solve_exact_ctmc on the
+/// same inputs — rates are accumulated per state in the same order, and
+/// solve_exact_ctmc is itself a one-shot batch.
 ///
 /// solve() mutates the scratch buffers, so a batch instance is NOT safe
-/// for concurrent solves; the sweep runner gives each topology group its
-/// own instance on one thread.
+/// for concurrent solves. The sweep runner does not batch: it solves every
+/// exact point as its own job through solve_exact_ctmc, because a skeleton
+/// rebuild (tens to hundreds of microseconds) is cheap next to a solve and
+/// one serial batch would set the wall time of a multi-threaded sweep.
 class ExactCtmcBatch {
  public:
   ExactCtmcBatch(const SystemParams& params, const ExactCtmcOptions& options);

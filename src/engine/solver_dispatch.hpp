@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/exact_ctmc.hpp"
 #include "engine/scenario.hpp"
 
 namespace esched {
@@ -81,30 +80,10 @@ struct RunResult {
 /// only EF/IF on the base model).
 RunResult dispatch_run(const RunPoint& point);
 
-/// Chain-topology sharing key for exact-CTMC points: two points with equal
-/// non-empty keys have identical (params, truncation) and can be solved in
-/// one ExactCtmcBatch — only their policies differ. Empty for every other
-/// backend.
+/// Chain-topology key for exact-CTMC points: two points with equal
+/// non-empty keys have identical (params, truncation) and could share one
+/// ExactCtmcBatch — only their policies differ. Empty for every other
+/// backend and for phase-type points.
 std::string exact_topology_key(const RunPoint& point);
-
-/// Solves exact-CTMC points that share a topology key, building the chain
-/// skeleton once at construction. solve(point) is bitwise identical to
-/// dispatch_run(point) apart from solve_seconds, and throws per point, so
-/// a caller iterating a group can attribute failures to the right point
-/// and keep the results that did solve. solve() reuses the batch's scratch
-/// generator, so one group solver must not be shared across threads (the
-/// sweep runner hands each topology group to a single thread).
-class ExactGroupSolver {
- public:
-  /// Builds the shared skeleton from any point of the group.
-  explicit ExactGroupSolver(const RunPoint& representative);
-
-  /// `point` must share the representative's topology key.
-  RunResult solve(const RunPoint& point);
-
- private:
-  std::string topology_key_;
-  ExactCtmcBatch batch_;
-};
 
 }  // namespace esched

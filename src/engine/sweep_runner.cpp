@@ -178,31 +178,12 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     if (on_row != nullptr) waiters[keys.back()].push_back(n);
   }
 
-  // Group jobs before fanning out: exact-CTMC points that share a chain
-  // topology (same params + truncation, different policies) become one
-  // batch job and reuse a single generator skeleton; everything else is a
-  // singleton. Batching preserves results bitwise (see ExactCtmcBatch).
-  std::vector<std::vector<std::size_t>> groups;
-  groups.reserve(jobs.size());
-  std::unordered_map<std::string, std::size_t> topology_groups;
-  for (const std::size_t n : jobs) {
-    const std::string topology = exact_topology_key(points[n]);
-    if (topology.empty()) {
-      groups.push_back({n});
-      continue;
-    }
-    const auto [it, inserted] = topology_groups.emplace(topology, groups.size());
-    if (inserted) {
-      groups.push_back({n});
-    } else {
-      groups[it->second].push_back(n);
-    }
-  }
-
-  // Fan the job groups over the pool via an atomic work index. Each point's
-  // solve is independent and pure, so completion order cannot affect the
-  // results.
-  std::atomic<std::size_t> next_group{0};
+  // Fan the jobs over the pool via an atomic work index, in input order.
+  // Every point is its own job — exact points too: rebuilding a chain per
+  // point costs far less than its solve, and a shared-topology batch would
+  // run serially on one thread. Each point's solve is independent and
+  // pure, so completion order cannot affect the results.
+  std::atomic<std::size_t> next_job{0};
   std::mutex error_mutex;
   std::string first_error;
   const auto record_error = [&](const std::string& key, const char* what) {
@@ -262,66 +243,35 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     double busy_seconds = 0.0;
     bool worked = false;
     for (;;) {
-      const std::size_t g = next_group.fetch_add(1);
-      if (g >= groups.size()) break;
-      // Time from run() start to pickup: how long this group sat queued
+      const std::size_t j = next_job.fetch_add(1);
+      if (j >= jobs.size()) break;
+      // Time from run() start to pickup: how long this job sat queued
       // behind other work.
       metrics.queue_wait.record(seconds_since_start());
       worked = true;
-      const auto group_start = std::chrono::steady_clock::now();
-      const std::vector<std::size_t>& group = groups[g];
-      if (group.size() == 1) {
-        const std::size_t n = group.front();
-        try {
-          const TraceSpan point_span(
-              "point",
-              {{"index", n},
-               {"solver", solver_name(points[n].solver)},
-               {"policy", points[n].policy}},
-              sweep_span_id);
-          const RunResult result = [&] {
-            // Inner solve span: separates pure solver time from the
-            // store/deliver tail the point span also covers.
-            const TraceSpan solve_span(
-                "solve", {{"solver", solver_name(points[n].solver)}});
-            return dispatch_run(points[n]);
-          }();
-          store(n, result);
-        } catch (const std::exception& e) {
-          record_error(keys[n], e.what());
-        }
-      } else {
-        // Shared-topology batch: build the chain skeleton once, then solve
-        // and store per point so one failing policy neither loses the
-        // others' results nor gets blamed on the wrong point. A skeleton
-        // construction failure (invalid params) is shared by every member.
-        try {
-          ExactGroupSolver solver(points[group.front()]);
-          for (const std::size_t n : group) {
-            try {
-              const TraceSpan point_span(
-                  "point",
-                  {{"index", n},
-                   {"solver", solver_name(points[n].solver)},
-                   {"policy", points[n].policy}},
-                  sweep_span_id);
-              const RunResult result = [&] {
-                const TraceSpan solve_span(
-                    "solve", {{"solver", solver_name(points[n].solver)}});
-                return solver.solve(points[n]);
-              }();
-              store(n, result);
-            } catch (const std::exception& e) {
-              record_error(keys[n], e.what());
-            }
-          }
-        } catch (const std::exception& e) {
-          record_error(keys[group.front()], e.what());
-        }
+      const auto job_start = std::chrono::steady_clock::now();
+      const std::size_t n = jobs[j];
+      try {
+        const TraceSpan point_span(
+            "point",
+            {{"index", n},
+             {"solver", solver_name(points[n].solver)},
+             {"policy", points[n].policy}},
+            sweep_span_id);
+        const RunResult result = [&] {
+          // Inner solve span: separates pure solver time from the
+          // store/deliver tail the point span also covers.
+          const TraceSpan solve_span(
+              "solve", {{"solver", solver_name(points[n].solver)}});
+          return dispatch_run(points[n]);
+        }();
+        store(n, result);
+      } catch (const std::exception& e) {
+        record_error(keys[n], e.what());
       }
       busy_seconds +=
           std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        group_start)
+                                        job_start)
               .count();
     }
     // Busy fraction of this worker's lifetime — only for threads that
@@ -335,9 +285,8 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
       metrics.utilization.record(alive > 0.0 ? busy_seconds / alive : 1.0);
     }
   };
-  const int pool_size =
-      static_cast<int>(std::min<std::size_t>(groups.size(),
-                                             static_cast<std::size_t>(num_threads_)));
+  const int pool_size = static_cast<int>(std::min<std::size_t>(
+      jobs.size(), static_cast<std::size_t>(num_threads_)));
   if (pool_size <= 1) {
     worker();
   } else {

@@ -6,11 +6,10 @@
 // mutex-guarded cache persists across run() calls, so repeated points —
 // e.g. shared rho-axis baselines across figures — solve exactly once per
 // process; an optional disk cache (set_cache_dir) extends that across
-// processes and CLI invocations. Exact-CTMC points sharing a chain
-// topology (same params + truncation, different policies) are solved as
-// one batch so the generator skeleton builds once. Results are
-// deterministic in the thread count: each point's solve is pure and its
-// RNG seed derives from its cache key, never from scheduling order.
+// processes and CLI invocations. Every unique point is its own job.
+// Results are deterministic in the thread count: each point's solve is
+// pure and its RNG seed derives from its cache key, never from scheduling
+// order.
 #pragma once
 
 #include <array>

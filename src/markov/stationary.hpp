@@ -43,6 +43,9 @@ struct StationarySolveInfo {
   /// exact-CTMC backend's method selection, empty when a solver was
   /// invoked directly.
   std::string method;
+  /// Wall seconds of the stationary solve alone (chain build excluded);
+  /// filled by the exact-CTMC backend like `method`.
+  double seconds = 0.0;
 };
 
 /// GTH (Grassmann-Taksar-Heyman) elimination on a dense generator. The

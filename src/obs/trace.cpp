@@ -28,9 +28,16 @@ long current_pid() {
 /// report merger scopes them); 0 is reserved for "no span / no parent".
 std::atomic<std::uint64_t> g_next_span{1};
 
-/// This thread's stack of open span ids — what makes nested TraceSpans
+/// One open span on this thread, with the fields trace_span_annotate
+/// added for its span_end.
+struct OpenSpan {
+  std::uint64_t id;
+  std::vector<TraceField> end_fields;
+};
+
+/// This thread's stack of open spans — what makes nested TraceSpans
 /// parent automatically without threading ids through call signatures.
-thread_local std::vector<std::uint64_t> t_span_stack;
+thread_local std::vector<OpenSpan> t_span_stack;
 
 }  // namespace
 
@@ -99,8 +106,8 @@ std::uint64_t trace_span_begin(const char* name,
   if (writer == nullptr) return 0;
   const std::uint64_t id =
       g_next_span.fetch_add(1, std::memory_order_relaxed);
-  if (parent == 0 && !t_span_stack.empty()) parent = t_span_stack.back();
-  t_span_stack.push_back(id);
+  if (parent == 0 && !t_span_stack.empty()) parent = t_span_stack.back().id;
+  t_span_stack.push_back({id, {}});
   // span/parent/name lead the custom fields so every span_begin line is
   // self-describing.
   std::vector<TraceField> all;
@@ -118,8 +125,13 @@ void trace_span_end(std::uint64_t span_id, const char* name) {
   // Pop this span (normally the top; a mismatched interleaving — e.g. a
   // span object outliving its children on another thread — just erases
   // the id wherever it sits, keeping the stack from leaking).
+  std::vector<TraceField> fields = {
+      {"span", static_cast<std::size_t>(span_id)}, {"name", name}};
   for (std::size_t n = t_span_stack.size(); n-- > 0;) {
-    if (t_span_stack[n] == span_id) {
+    if (t_span_stack[n].id == span_id) {
+      for (TraceField& field : t_span_stack[n].end_fields) {
+        fields.push_back(std::move(field));
+      }
       t_span_stack.erase(t_span_stack.begin() +
                          static_cast<std::ptrdiff_t>(n));
       break;
@@ -127,8 +139,13 @@ void trace_span_end(std::uint64_t span_id, const char* name) {
   }
   TraceWriter* writer = global_trace();
   if (writer == nullptr) return;  // sink detached while the span was open
-  writer->event("span_end", {{"span", static_cast<std::size_t>(span_id)},
-                             {"name", name}});
+  writer->event("span_end", fields);
+}
+
+void trace_span_annotate(std::initializer_list<TraceField> fields) {
+  if (global_trace() == nullptr || t_span_stack.empty()) return;
+  std::vector<TraceField>& end_fields = t_span_stack.back().end_fields;
+  end_fields.insert(end_fields.end(), fields.begin(), fields.end());
 }
 
 }  // namespace esched

@@ -112,6 +112,12 @@ std::uint64_t trace_span_begin(const char* name,
 /// span_end. A 0 id (span opened while tracing was off) is a no-op.
 void trace_span_end(std::uint64_t span_id, const char* name);
 
+/// Adds `fields` to this thread's innermost open span; span_end carries
+/// them. Lets code deep inside a solve say why it took its path on the
+/// span its caller opened (the exact backend's method choice lands on the
+/// sweep's `solve` span). No-op when tracing is off or no span is open.
+void trace_span_annotate(std::initializer_list<TraceField> fields);
+
 /// RAII span: begin on construction, end at scope exit. The span
 /// vocabulary (worker → chunk → sweep → point → solve) is documented in
 /// README "Observability"; `esched trace report` rebuilds the tree.

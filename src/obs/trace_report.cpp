@@ -105,14 +105,14 @@ TraceForest build_trace_forest(const std::vector<std::string>& files) {
           if (const JsonValue* name = doc.find("name")) {
             event.name = name->as_string("name");
           }
-          if (event.kind == RawEvent::Kind::kBegin) {
-            for (const auto& [key, value] : doc.as_object("event")) {
-              if (key == "t" || key == "ev" || key == "pid" || key == "seq" ||
-                  key == "span" || key == "parent" || key == "name") {
-                continue;
-              }
-              event.fields.emplace_back(key, field_to_string(value));
+          // Fields from both ends: span_end carries what the span's code
+          // annotated while it ran (trace_span_annotate).
+          for (const auto& [key, value] : doc.as_object("event")) {
+            if (key == "t" || key == "ev" || key == "pid" || key == "seq" ||
+                key == "span" || key == "parent" || key == "name") {
+              continue;
             }
+            event.fields.emplace_back(key, field_to_string(value));
           }
         }
       } catch (const std::exception&) {
@@ -163,6 +163,8 @@ TraceForest build_trace_forest(const std::vector<std::string>& files) {
       TraceReportSpan& span = forest.spans[found->second];
       span.t_end = std::max(span.t_begin, event.t);
       span.closed = true;
+      span.fields.insert(span.fields.end(), event.fields.begin(),
+                         event.fields.end());
     }
   }
   for (const TraceReportSpan& span : forest.spans) {
@@ -240,11 +242,24 @@ void print_trace_report(const TraceForest& forest, std::ostream& out,
   appendf(out, "\nslowest %s spans:\n", focus.c_str());
   for (const std::size_t n : slow) {
     const TraceReportSpan& span = forest.spans[n];
+    // A point's solve child says why it took its path (the exact
+    // backend's method and its predicted cost); show what it adds.
+    auto fields = span.fields;
+    for (const std::size_t child : span.children) {
+      if (forest.spans[child].name != "solve") continue;
+      for (const auto& field : forest.spans[child].fields) {
+        if (std::none_of(fields.begin(), fields.end(), [&](const auto& f) {
+              return f.first == field.first;
+            })) {
+          fields.push_back(field);
+        }
+      }
+    }
     appendf(out, "  %10.6f s  pid %ld%s", span.duration(), span.pid,
-            span.fields.empty() ? "" : " ");
-    for (std::size_t f = 0; f < span.fields.size(); ++f) {
-      out << (f == 0 ? "" : " ") << span.fields[f].first << "="
-          << span.fields[f].second;
+            fields.empty() ? "" : " ");
+    for (std::size_t f = 0; f < fields.size(); ++f) {
+      out << (f == 0 ? "" : " ") << fields[f].first << "="
+          << fields[f].second;
     }
     if (!span.closed) out << "  [unclosed]";
     out << "\n";

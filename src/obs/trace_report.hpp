@@ -31,7 +31,8 @@ struct TraceReportSpan {
   double t_end = 0.0;   ///< last event time of its file when !closed
   bool closed = false;  ///< saw the matching span_end
   /// Custom span_begin fields ("index" = "3", "solver" = "qbd", ...) in
-  /// emission order, values rendered as strings.
+  /// emission order, then those span_end carries (trace_span_annotate),
+  /// values rendered as strings.
   std::vector<std::pair<std::string, std::string>> fields;
   static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
   std::size_t parent = kNoParent;     ///< index into TraceForest::spans

@@ -222,6 +222,46 @@ TEST(ExactCtmc, AutoSelectsGthSmallAndBlockLarge) {
             "block");
 }
 
+TEST(ExactCtmc, AutoPicksByPredictedCost) {
+  // Structural, no timing: auto's choice is a pure function of the chain.
+  // Erlang-3 chains have dense blocks (nearly every state receives a
+  // down-transition), so elimination costs more than SOR's few hundred
+  // sweeps over few levels. The rho = 0.9 exponential chains have sparse
+  // blocks but many levels, so SOR needs thousands of sweeps and block
+  // wins.
+  const auto expect_choice = [](const ExactCtmcResult& r,
+                                std::size_t states, const char* method) {
+    EXPECT_EQ(r.num_states, states);
+    EXPECT_EQ(r.solve_info.method, method) << states << " states";
+    EXPECT_GT(r.prediction.block_seconds, 0.0);
+    EXPECT_GT(r.prediction.sor_seconds, 0.0);
+    const bool block_cheaper =
+        r.prediction.block_seconds <= r.prediction.sor_seconds;
+    EXPECT_EQ(block_cheaper, std::string(method) == "block");
+  };
+  ExactCtmcOptions trunc20;
+  trunc20.imax = trunc20.jmax = 20;
+  const SystemParams k4 = SystemParams::from_load(4, 1.0, 1.0, 0.7);
+  const PhaseType erl3 = PhaseType::erlang(3, 3.0 * k4.mu_i);
+  expect_choice(solve_exact_ctmc_ph(k4, InelasticFirst{}, erl3, trunc20),
+                5775, "sor");
+  expect_choice(solve_exact_ctmc_ph(k4, ElasticFirst{}, erl3, trunc20),
+                12875, "sor");
+  ExactCtmcOptions trunc14;
+  trunc14.imax = trunc14.jmax = 14;
+  const SystemParams k8 = SystemParams::from_load(8, 1.0, 1.0, 0.7);
+  expect_choice(solve_exact_ctmc_ph(k8, InelasticFirst{}, erl3, trunc14),
+                6525, "sor");
+  const SystemParams heavy = SystemParams::from_load(4, 1.0, 1.0, 0.9);
+  for (const auto& [epsilon, states] :
+       {std::pair{1e-4, std::size_t{7921}}, std::pair{1e-9, std::size_t{39204}}}) {
+    ExactCtmcOptions options;
+    options.imax = options.jmax = suggested_truncation(0.9, epsilon);
+    expect_choice(solve_exact_ctmc(heavy, InelasticFirst{}, options), states,
+                  "block");
+  }
+}
+
 TEST(ExactCtmc, ExplicitGthRejectsChainOverDenseLimit) {
   const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
   ExactCtmcOptions options;

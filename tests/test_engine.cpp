@@ -388,25 +388,34 @@ TEST(ExactBatch, MatchesUnbatchedSolveBitwise) {
   }
 }
 
-TEST(SweepRunner, ExactGroupBatchingMatchesPerPointDispatch) {
-  // Five policies at one params: the runner solves them as one topology
-  // group; results must equal per-point dispatch bitwise.
+TEST(SweepRunner, ExactPointsRunAsOwnJobsDeterministically) {
+  // Five policies on one chain topology plus a phase-type point: every
+  // exact point is its own job, so at 4 threads the family's policies
+  // solve concurrently. Results must equal the 1-thread run and per-point
+  // dispatch bitwise.
   Scenario s;
-  s.name = "batch";
-  s.cases = {{4, 2.0, 1.0, 0.8, 0}, {4, 0.5, 1.0, 0.6, 0}};
+  s.name = "family";
+  s.cases = {{4, 2.0, 1.0, 0.8, 0}};
   s.policies = {"IF", "EF", "FairShare", "Cap2", "IF+idle1"};
   s.solvers = {SolverKind::kExactCtmc};
-  s.options.imax = s.options.jmax = 25;
-  const auto points = s.expand();
-  SweepRunner runner(2);
+  s.options.imax = s.options.jmax = 25;  // 676 states: past the GTH limit
+  auto points = s.expand();
+  RunPoint ph = points.front();
+  ph.options.size_dist_i = SizeDistSpec::parse("erlang:3");
+  ph.options.imax = ph.options.jmax = 12;
+  points.push_back(ph);
+
+  SweepRunner parallel(4);
   SweepStats stats;
-  const auto results = runner.run(points, &stats);
+  const auto results = parallel.run(points, &stats);
   EXPECT_EQ(stats.solved_points, points.size());
+  EXPECT_EQ(stats.threads_used, 4);
+  SweepRunner serial(1);
+  const auto reference = serial.run(points);
   for (std::size_t n = 0; n < points.size(); ++n) {
-    RunResult direct = dispatch_run(points[n]);
-    direct.from_cache = results[n].from_cache;
-    direct.solve_seconds = results[n].solve_seconds;
-    EXPECT_TRUE(numerically_equal(results[n], direct))
+    EXPECT_TRUE(numerically_equal(results[n], reference[n]))
+        << points[n].cache_key();
+    EXPECT_TRUE(numerically_equal(results[n], dispatch_run(points[n])))
         << points[n].cache_key();
   }
 }

@@ -328,6 +328,55 @@ TEST(TraceSpans, EventsCarryPidSeqAndSpanFields) {
             events[1].find("span")->as_number("span"));
 }
 
+TEST(TraceSpans, AnnotationsRideOnSpanEndAndReachTheReport) {
+  const std::string path = testing::TempDir() + "esched_span_annotate.jsonl";
+  trace_span_annotate({{"ignored", 1}});  // tracing off: a no-op
+  {
+    TraceWriter writer(path);
+    set_global_trace(&writer);
+    trace_span_annotate({{"ignored", 2}});  // no open span: a no-op
+    {
+      const TraceSpan point("point", {{"index", std::size_t{3}}});
+      const TraceSpan solve("solve", {{"solver", "exact"}});
+      // What the exact backend adds from inside the solve.
+      trace_span_annotate({{"method", "sor"}, {"prediction_ratio", 1.5}});
+    }
+    set_global_trace(nullptr);
+  }
+  std::ifstream in(path);
+  std::string line;
+  std::vector<JsonValue> events;
+  while (std::getline(in, line)) {
+    if (!line.empty()) events.push_back(parse_json(line, path));
+  }
+  ASSERT_EQ(events.size(), 4u);
+  // The innermost span's end carries the fields; nothing else does.
+  EXPECT_EQ(events[2].find("name")->as_string("name"), "solve");
+  ASSERT_NE(events[2].find("method"), nullptr);
+  ASSERT_NE(events[2].find("prediction_ratio"), nullptr);
+  EXPECT_EQ(events[2].find("method")->as_string("method"), "sor");
+  EXPECT_EQ(events[2].find("prediction_ratio")->as_number("ratio"), 1.5);
+  EXPECT_EQ(events[3].find("method"), nullptr);
+  for (const JsonValue& event : events) {
+    EXPECT_EQ(event.find("ignored"), nullptr);
+  }
+
+  const TraceForest forest = build_trace_forest({path});
+  ASSERT_EQ(forest.spans.size(), 2u);
+  const TraceReportSpan& solve = forest.spans[1];
+  EXPECT_EQ(solve.name, "solve");
+  ASSERT_EQ(solve.fields.size(), 3u);  // solver, then method and ratio
+  EXPECT_EQ(solve.fields[1], std::make_pair(std::string("method"),
+                                            std::string("sor")));
+  // The slowest-point row shows why its solve took that path.
+  std::ostringstream report;
+  print_trace_report(forest, report, 5);
+  EXPECT_NE(report.str().find("index=3 solver=exact method=sor"),
+            std::string::npos)
+      << report.str();
+  std::remove(path.c_str());
+}
+
 TEST(TraceReport, ReconstructsSpanTreesFromInterleavedTwoProcessTrace) {
   // Hand-written two-worker fixture with interleaved timestamps and
   // colliding span ids (both processes use ids 1..3 — scoping by pid is
