@@ -557,9 +557,8 @@ void print_stats_line(std::ostream& os, const SweepStats& stats) {
 
 // ---------------------------------------------------------------------------
 // Named views. Each renders one classic report layout from engine results;
-// the formats reproduce the pre-engine harnesses byte for byte (with the
-// prose bits injected through ViewOptions), which is what lets the bench
-// binaries stay golden while sharing this code with `esched --view`.
+// the formats reproduce the pre-engine harnesses' layouts byte for byte
+// (tests/test_bench_ports.cpp replays those loops as the reference).
 
 namespace {
 
@@ -633,22 +632,10 @@ std::size_t solver_index(const Scenario& scenario, SolverKind kind,
               solver_name(kind) + "' on the scenario's solver axis");
 }
 
-/// Labels with defaults: pick options value when provided, else fallback.
-std::vector<std::string> labels_or(const std::vector<std::string>& given,
-                                   const std::vector<std::string>& fallback,
-                                   const char* view, const char* what) {
-  if (given.empty()) return fallback;
-  ESCHED_CHECK(given.size() == fallback.size(),
-               std::string("view '") + view + "': " + what + " needs " +
-                   std::to_string(fallback.size()) + " labels");
-  return given;
-}
-
 // --- heatmap: per-rho winner maps over the (mu_I, mu_E) grid -------------
 
 void print_heatmap_view(std::ostream& os, const Scenario& s,
-                        const std::vector<RunResult>& results,
-                        const ViewOptions& options) {
+                        const std::vector<RunResult>& results) {
   const char* view = "heatmap";
   require(s.cases.empty(), view, "an axes-based scenario (rho/mu grids)");
   require(s.k_values.size() == 1 && s.elastic_caps.size() == 1, view,
@@ -674,10 +661,9 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
   for (std::size_t r = 0; r < s.rho_values.size(); ++r) {
     const double rho = s.rho_values[r];
     osprintf(os,
-             "\n%srho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
+             "\nrho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
              "left-right; %c = %s wins, %c = %s wins)\n",
-             options.title_prefix.c_str(), rho, k, pol0[0], pol0.c_str(),
-             pol1[0], pol1.c_str());
+             rho, k, pol0[0], pol0.c_str(), pol1[0], pol1.c_str());
     osprintf(os, "%7s", "mu_E\\I");
     for (const double mu_i : grid) osprintf(os, "%5.2f", mu_i);
     osprintf(os, "\n");
@@ -714,8 +700,7 @@ void print_heatmap_view(std::ostream& os, const Scenario& s,
 // --- vs-mu: per-rho E[T] tables along the mu_I axis ----------------------
 
 void print_vs_mu_view(std::ostream& os, const Scenario& s,
-                      const std::vector<RunResult>& results,
-                      const ViewOptions& options) {
+                      const std::vector<RunResult>& results) {
   const char* view = "vs-mu";
   require(s.cases.empty(), view, "an axes-based scenario (rho/mu_i axes)");
   require(s.k_values.size() == 1 && s.mu_e_values.size() == 1 &&
@@ -740,8 +725,7 @@ void print_vs_mu_view(std::ostream& os, const Scenario& s,
       table.add_row({format_double(s.mu_i_values[m]), format_double(et0),
                      format_double(et1), et0 <= et1 ? pol0 : pol1});
     }
-    osprintf(os, "\n--- rho = %.1f%s ---\n", s.rho_values[r],
-             options.rho_note.c_str());
+    osprintf(os, "\n--- rho = %.1f ---\n", s.rho_values[r]);
     table.print(os);
   }
 }
@@ -749,8 +733,7 @@ void print_vs_mu_view(std::ostream& os, const Scenario& s,
 // --- vs-k: per-mu_I panels of E[T] along the k axis ----------------------
 
 void print_vs_k_view(std::ostream& os, const Scenario& s,
-                     const std::vector<RunResult>& results,
-                     const ViewOptions& options) {
+                     const std::vector<RunResult>& results) {
   const char* view = "vs-k";
   require(s.cases.empty(), view, "an axes-based scenario (k axis)");
   require(s.rho_values.size() == 1 && s.mu_e_values.size() == 1 &&
@@ -764,13 +747,6 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
 
   const std::string& pol0 = s.policies[0];
   const std::string& pol1 = s.policies[1];
-  std::vector<std::string> default_labels;
-  for (const double mu_i : s.mu_i_values) {
-    default_labels.push_back("mu_I = " + format_double(mu_i) + ", mu_E = " +
-                             format_double(s.mu_e_values.front()));
-  }
-  const auto labels =
-      labels_or(options.panel_labels, default_labels, view, "panel_labels");
   const std::size_t nmu = s.mu_i_values.size();
   for (std::size_t panel = 0; panel < nmu; ++panel) {
     Table table({"k", "E[T] " + pol0, "E[T] " + pol1,
@@ -783,7 +759,9 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
       table.add_row({std::to_string(s.k_values[n]), format_double(et0),
                      format_double(et1), format_double(et1 - et0)});
     }
-    osprintf(os, "\n--- %s ---\n", labels[panel].c_str());
+    osprintf(os, "\n--- mu_I = %s, mu_E = %s ---\n",
+             format_double(s.mu_i_values[panel]).c_str(),
+             format_double(s.mu_e_values.front()).c_str());
     table.print(os);
   }
 }
@@ -791,23 +769,18 @@ void print_vs_k_view(std::ostream& os, const Scenario& s,
 // --- family: per-case policy-family E[T] + Thm. 5 check ------------------
 
 void print_family_view(std::ostream& os, const Scenario& s,
-                       const std::vector<RunResult>& results,
-                       const ViewOptions& options) {
+                       const std::vector<RunResult>& results) {
   const char* view = "family";
   require(!s.cases.empty(), view, "a cases-based scenario");
   const GridShape shape = shape_of(s);
   require(shape.nsol == 1 && shape.ntrunc == 1 && shape.nfit == 1 &&
               shape.ndist == 1,
           view, "a single solver and no truncation/fit/size_dist axes");
-  const auto policy_labels =
-      labels_or(options.policy_labels, s.policies, view, "policy_labels");
-  const auto column_labels =
-      labels_or(options.column_labels, s.policies, view, "column_labels");
 
   std::vector<std::string> header = {"mu_I", "mu_E", "rho"};
-  for (const auto& label : column_labels) header.push_back("E[T] " + label);
+  for (const auto& policy : s.policies) header.push_back("E[T] " + policy);
   header.push_back("best");
-  header.push_back(policy_labels[0] + " optimal?");
+  header.push_back(s.policies[0] + " optimal?");
   Table table(std::move(header));
 
   int theorem5_checks = 0;
@@ -833,7 +806,7 @@ void print_family_view(std::ostream& os, const Scenario& s,
                                     format_double(setting.mu_e),
                                     format_double(setting.rho)};
     for (const double value : et) row.push_back(format_double(value));
-    row.push_back(policy_labels[best]);
+    row.push_back(s.policies[best]);
     row.push_back(first_optimal ? "yes" : "no");
     table.add_row(std::move(row));
   }
@@ -841,7 +814,7 @@ void print_family_view(std::ostream& os, const Scenario& s,
   osprintf(os,
            "\nTheorem 5 (mu_I >= mu_E => %s optimal in family): %d/%d "
            "settings hold.\n",
-           policy_labels[0].c_str(), theorem5_holds, theorem5_checks);
+           s.policies[0].c_str(), theorem5_holds, theorem5_checks);
 }
 
 // --- accuracy: QBD vs exact vs simulation per case -----------------------
@@ -1104,29 +1077,45 @@ void print_scv_view(std::ostream& os, const Scenario& s,
            stable_cases, s.cases.size());
 }
 
+/// Every named view. The table view has no renderer here: it needs the
+/// points and stats, so print_view renders it itself.
+using ViewRenderer = void (*)(std::ostream&, const Scenario&,
+                              const std::vector<RunResult>&);
+constexpr struct {
+  const char* name;
+  ViewRenderer render;
+} kViews[] = {
+    {"table", nullptr},
+    {"heatmap", print_heatmap_view},
+    {"vs-mu", print_vs_mu_view},
+    {"vs-k", print_vs_k_view},
+    {"family", print_family_view},
+    {"accuracy", print_accuracy_view},
+    {"tail", print_tail_view},
+    {"truncation", print_truncation_view},
+    {"fit-order", print_fit_order_view},
+    {"dominance", print_dominance_view},
+    {"scv", print_scv_view},
+};
+
 }  // namespace
 
 void print_view(const std::string& view, std::ostream& os,
                 const Scenario& scenario, const std::vector<RunPoint>& points,
                 const std::vector<RunResult>& results, const SweepStats& stats,
-                const ViewOptions& options) {
+                std::size_t max_rows) {
   if (view == "table") {
     ESCHED_CHECK(points.size() == results.size(),
                  "points/results size mismatch");
-    print_sweep_summary(os, points, results, stats, options.max_rows);
+    print_sweep_summary(os, points, results, stats, max_rows);
     return;
   }
-  check_view_inputs(view.c_str(), scenario, points, results);
-  if (view == "heatmap") return print_heatmap_view(os, scenario, results, options);
-  if (view == "vs-mu") return print_vs_mu_view(os, scenario, results, options);
-  if (view == "vs-k") return print_vs_k_view(os, scenario, results, options);
-  if (view == "family") return print_family_view(os, scenario, results, options);
-  if (view == "accuracy") return print_accuracy_view(os, scenario, results);
-  if (view == "tail") return print_tail_view(os, scenario, results);
-  if (view == "truncation") return print_truncation_view(os, scenario, results);
-  if (view == "fit-order") return print_fit_order_view(os, scenario, results);
-  if (view == "dominance") return print_dominance_view(os, scenario, results);
-  if (view == "scv") return print_scv_view(os, scenario, results);
+  for (const auto& entry : kViews) {
+    if (entry.render != nullptr && view == entry.name) {
+      check_view_inputs(entry.name, scenario, points, results);
+      return entry.render(os, scenario, results);
+    }
+  }
   std::string all;
   for (const auto& name : report_view_names()) {
     if (!all.empty()) all += ", ";
@@ -1137,9 +1126,9 @@ void print_view(const std::string& view, std::ostream& os,
 }
 
 std::vector<std::string> report_view_names() {
-  return {"table",  "heatmap",    "vs-mu",     "vs-k",      "family",
-          "accuracy", "tail", "truncation", "fit-order", "dominance",
-          "scv"};
+  std::vector<std::string> names;
+  for (const auto& entry : kViews) names.emplace_back(entry.name);
+  return names;
 }
 
 }  // namespace esched

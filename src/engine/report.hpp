@@ -2,8 +2,8 @@
 // views, built on common/csv and common/table so every scenario emits the
 // same uniform schema regardless of which solver produced each row. The
 // views render the classic figure/study layouts (winner heat maps, vs-k
-// panels, accuracy deltas, tail tables, ...) straight from engine results;
-// the bench harnesses and the CLI's --view flag share them.
+// panels, accuracy deltas, tail tables, ...) straight from engine results
+// for the CLI's --view flag.
 #pragma once
 
 #include <fstream>
@@ -199,27 +199,6 @@ void print_sweep_summary(std::ostream& os, const std::vector<RunPoint>& points,
 /// table view and the CLI's non-table renders so the two never drift.
 void print_stats_line(std::ostream& os, const SweepStats& stats);
 
-/// Presentation knobs for the named views. Every field has a generic
-/// default; the figure harnesses pass their historical prose so their
-/// output stays byte-identical to the pre-engine binaries.
-struct ViewOptions {
-  /// heatmap: text before "rho = ..." in each map header (e.g.
-  /// "Figure 4: ").
-  std::string title_prefix;
-  /// vs-mu: note appended inside each per-rho rule (e.g. " (mu_I = 1
-  /// marks mu_I = mu_E; IF optimal to the right)").
-  std::string rho_note;
-  /// vs-k: one label per mu_I panel; defaults to "mu_I = <v>, mu_E = <v>".
-  std::vector<std::string> panel_labels;
-  /// family: display names for the policies (best column / optimality
-  /// footer); defaults to the policy specs.
-  std::vector<std::string> policy_labels;
-  /// family: "E[T] <label>" column headers; defaults to the policy specs.
-  std::vector<std::string> column_labels;
-  /// table: summary row cap.
-  std::size_t max_rows = 40;
-};
-
 /// Renders `results` under the named view:
 ///   table      — generic aligned table + run stats (any scenario)
 ///   heatmap    — per-rho policy winner maps over the (mu_I, mu_E) grid
@@ -234,10 +213,11 @@ struct ViewOptions {
 ///   scv        — per-case E[T] along the size_dist axis (SCV robustness)
 /// Throws esched::Error when the scenario lacks the axes a view needs
 /// (the message names the requirement) or the view name is unknown.
+/// `max_rows` caps the table view's summary rows.
 void print_view(const std::string& view, std::ostream& os,
                 const Scenario& scenario, const std::vector<RunPoint>& points,
                 const std::vector<RunResult>& results, const SweepStats& stats,
-                const ViewOptions& options = {});
+                std::size_t max_rows = 40);
 
 /// Names accepted by print_view (and the spec files' "view" key).
 std::vector<std::string> report_view_names();

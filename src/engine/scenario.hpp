@@ -195,7 +195,8 @@ std::vector<std::pair<std::size_t, std::size_t>> chunk_ranges(
 
 /// Named built-in scenarios, registered as embedded JSON specs through the
 /// same loader as user files (engine/spec): "fig4", "fig5", "fig6",
-/// "optimality-sweep", plus one per ported bench harness. Throws on an
+/// "optimality-sweep", plus one per paper study (optimality family,
+/// accuracy, tails, ablations, dominance, SCV sensitivity). Throws on an
 /// unknown name.
 Scenario builtin_scenario(const std::string& name);
 std::vector<std::string> builtin_scenario_names();

@@ -512,7 +512,7 @@ constexpr BuiltinSpec kBuiltinSpecs[] = {
     })json"},
     {"optimality-family", R"json({
       "name": "optimality-family",
-      "description": "S4 optimality table (bench_optimality_sweep): exact E[T] for the enumerable policy family across the diagonal spot settings of Thms. 1/5 and App. B",
+      "description": "S4 optimality table: exact E[T] for the enumerable policy family across the diagonal spot settings of Thms. 1/5 and App. B",
       "view": "family",
       "cases": [
         {"k": 4, "mu_i": 1, "mu_e": 1, "rho": 0.5},

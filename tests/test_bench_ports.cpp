@@ -1,10 +1,9 @@
-// Golden-output tests for the bench ports: every harness that moved onto
-// the sweep engine must render byte-identical output to its pre-port
-// hand-rolled loop. Each test replays the original bench body (direct
-// solver calls + the original printf/Table formatting) at a reduced scale
-// and compares it against the engine + report-view pipeline character for
-// character. This extends the fig4/fig6 golden approach of PR 1 to all
-// nine figure/study harnesses.
+// Reference tests for the named report views: each view must render
+// byte-identical output to the hand-rolled figure/study loop it replaced.
+// Each test replays that loop (direct solver calls + printf/Table
+// formatting, with the views' default labels) at a reduced scale and
+// compares it against the engine + report-view pipeline character for
+// character.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -38,14 +37,13 @@ std::string strprintf(const char* fmt, Args... args) {
   return buf;
 }
 
-std::string render_view(const std::string& view, const Scenario& scenario,
-                        const ViewOptions& options = {}) {
+std::string render_view(const std::string& view, const Scenario& scenario) {
   const auto points = scenario.expand();
   SweepRunner runner(2);
   SweepStats stats;
   const auto results = runner.run(points, &stats);
   std::ostringstream out;
-  print_view(view, out, scenario, points, results, stats, options);
+  print_view(view, out, scenario, points, results, stats);
   return out.str();
 }
 
@@ -70,14 +68,11 @@ TEST(BenchPorts, VsMuViewMatchesHandRolledFig5Loop) {
       table.add_row({format_double(mu_i), format_double(et_if),
                      format_double(et_ef), et_if <= et_ef ? "IF" : "EF"});
     }
-    expected << strprintf("\n--- rho = %.1f%s ---\n", rho,
-                          " (note under test)");
+    expected << strprintf("\n--- rho = %.1f ---\n", rho);
     table.print(expected);
   }
 
-  ViewOptions options;
-  options.rho_note = " (note under test)";
-  EXPECT_EQ(render_view("vs-mu", s, options), expected.str());
+  EXPECT_EQ(render_view("vs-mu", s), expected.str());
 }
 
 TEST(BenchPorts, HeatmapViewMatchesHandRolledFig4Loop) {
@@ -95,7 +90,7 @@ TEST(BenchPorts, HeatmapViewMatchesHandRolledFig4Loop) {
   const auto& grid = s.mu_i_values;
   for (const double rho : s.rho_values) {
     expected << strprintf(
-        "\nFigure 4: rho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
+        "\nrho = %.1f, k = %d (rows mu_E top-down, cols mu_I "
         "left-right; I = IF wins, E = EF wins)\n",
         rho, 4);
     expected << strprintf("%7s", "mu_E\\I");
@@ -129,9 +124,7 @@ TEST(BenchPorts, HeatmapViewMatchesHandRolledFig4Loop) {
         if_wins, ef_wins, if_wins_upper, points_upper);
   }
 
-  ViewOptions options;
-  options.title_prefix = "Figure 4: ";
-  EXPECT_EQ(render_view("heatmap", s, options), expected.str());
+  EXPECT_EQ(render_view("heatmap", s), expected.str());
 }
 
 TEST(BenchPorts, VsKViewMatchesHandRolledFig6Loop) {
@@ -145,7 +138,7 @@ TEST(BenchPorts, VsKViewMatchesHandRolledFig6Loop) {
   s.solvers = {SolverKind::kQbdAnalysis};
 
   // Pre-port bench body (bench/fig6_vs_k.cpp before the port).
-  const char* labels[] = {"panel a", "panel b"};
+  const char* labels[] = {"mu_I = 0.5, mu_E = 1", "mu_I = 2, mu_E = 1"};
   std::ostringstream expected;
   for (std::size_t panel = 0; panel < s.mu_i_values.size(); ++panel) {
     Table table({"k", "E[T] IF", "E[T] EF", "gap EF-IF"});
@@ -161,9 +154,7 @@ TEST(BenchPorts, VsKViewMatchesHandRolledFig6Loop) {
     table.print(expected);
   }
 
-  ViewOptions options;
-  options.panel_labels = {"panel a", "panel b"};
-  EXPECT_EQ(render_view("vs-k", s, options), expected.str());
+  EXPECT_EQ(render_view("vs-k", s), expected.str());
 }
 
 TEST(BenchPorts, FamilyViewMatchesHandRolledOptimalityLoop) {
@@ -176,14 +167,14 @@ TEST(BenchPorts, FamilyViewMatchesHandRolledOptimalityLoop) {
 
   // Pre-port bench body (bench/optimality_sweep.cpp before the port).
   std::ostringstream expected;
-  Table table({"mu_I", "mu_E", "rho", "E[T] IF", "E[T] EF", "E[T] Fair",
-               "E[T] Cap2", "E[T] IF+idle", "best", "IF optimal?"});
+  Table table({"mu_I", "mu_E", "rho", "E[T] IF", "E[T] EF", "E[T] FairShare",
+               "E[T] Cap2", "E[T] IF+idle1", "best", "IF optimal?"});
   std::vector<std::pair<PolicyPtr, const char*>> family;
   family.emplace_back(make_inelastic_first(), "IF");
   family.emplace_back(make_elastic_first(), "EF");
   family.emplace_back(make_fair_share(), "FairShare");
   family.emplace_back(make_inelastic_cap(2), "Cap2");
-  family.emplace_back(make_idling(make_inelastic_first(), 1.0), "IF+idle");
+  family.emplace_back(make_idling(make_inelastic_first(), 1.0), "IF+idle1");
   int theorem5_checks = 0;
   int theorem5_holds = 0;
   for (const CaseSpec& setting : s.cases) {
@@ -218,10 +209,7 @@ TEST(BenchPorts, FamilyViewMatchesHandRolledOptimalityLoop) {
       "settings hold.\n",
       theorem5_holds, theorem5_checks);
 
-  ViewOptions options;
-  options.policy_labels = {"IF", "EF", "FairShare", "Cap2", "IF+idle"};
-  options.column_labels = {"IF", "EF", "Fair", "Cap2", "IF+idle"};
-  EXPECT_EQ(render_view("family", s, options), expected.str());
+  EXPECT_EQ(render_view("family", s), expected.str());
 }
 
 TEST(BenchPorts, AccuracyViewMatchesHandRolledLoop) {
