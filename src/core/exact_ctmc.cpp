@@ -39,16 +39,16 @@ constexpr std::size_t kDenseGthLimit = 5000;
 /// pays for its flops and for streaming its factor workspace. SOR pays per
 /// stored rate per sweep, and its sweep count grows with the square of
 /// the level count (the chain's diameter along the levels). The values
-/// are a least-squares fit of log stationary_s over the forced
-/// method=block and method=sor cases of the exact_auto/* family in
-/// bench/perf_solvers.cpp on a 4-core x86-64 host; the snapshot taken
-/// with them, bench/snapshots/BENCH_perf_pr13.json, measures each forced
-/// case at 0.65-2.1x its prediction. Only the ratios steer the choice.
+/// are least-squares fits of log stationary_s over the forced cases of
+/// the exact_auto/* family in bench/perf_solvers.cpp on a 4-core x86-64
+/// host: SOR's over method=sor (snapshot BENCH_perf_pr13.json), block's
+/// over method=block on the panel kernels (fastest of four runs; fit
+/// error 6 % rms). Only the ratios steer the choice.
 /// Known miss: at truncation far deeper than the load needs (rho = 0.7,
 /// 161+ levels) SOR converges in far fewer than levels^2 sweeps, and
-/// auto keeps block at up to 2x SOR's time.
-constexpr double kBlockSecondsPerFlop = 0.28e-9;
-constexpr double kBlockSecondsPerByte = 0.67e-9;
+/// auto keeps block where SOR is faster.
+constexpr double kBlockSecondsPerFlop = 0.104e-9;
+constexpr double kBlockSecondsPerByte = 0.453e-9;
 constexpr double kSorSecondsPerNnzLevel2 = 1.85e-9;
 
 ExactCostPrediction predict_cost(const CsrMatrix& rates,
@@ -222,7 +222,7 @@ ExactCtmcBatch::ExactCtmcBatch(const SystemParams& params,
   }
 }
 
-ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
+void ExactCtmcBatch::overlay(const AllocationPolicy& policy) {
   const long ni = options_.imax + 1;
   const long nj = options_.jmax + 1;
   const auto num_states = static_cast<std::size_t>(ni * nj);
@@ -259,6 +259,18 @@ ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
       scratch_exit_[s] = exit;
     }
   }
+}
+
+ExactChain ExactCtmcBatch::chain(const AllocationPolicy& policy) {
+  overlay(policy);
+  return {scratch_rates_, scratch_exit_, level_of_};
+}
+
+ExactCtmcResult ExactCtmcBatch::solve(const AllocationPolicy& policy) {
+  const long ni = options_.imax + 1;
+  const long nj = options_.jmax + 1;
+  const auto num_states = static_cast<std::size_t>(ni * nj);
+  overlay(policy);
 
   ExactCtmcResult result;
   auto [pi, solve_info] = solve_stationary(scratch_rates_, scratch_exit_,
@@ -454,7 +466,8 @@ class PhChainBuilder {
     }
   }
 
-  ExactCtmcResult solve() {
+  /// The reachable chain, frozen, and its level partition.
+  SparseCtmc build_chain(std::vector<std::uint32_t>* level_of) {
     build();
     SparseCtmc chain(states_.size());
     for (const CtmcTransition& tr : transitions_) {
@@ -465,15 +478,26 @@ class PhChainBuilder {
     // The augmented chain is level-structured in i = sum(c) + w: phase
     // progression and admissions preserve i, arrivals/completions move it
     // by one — so the block solver applies to it directly.
-    std::vector<std::uint32_t> level_of(states_.size());
+    level_of->resize(states_.size());
     for (std::size_t n = 0; n < states_.size(); ++n) {
       const PhState& st = states_[n];
       const long started =
           std::accumulate(st.c.begin(), st.c.end(), 0L,
                           [](long acc, int v) { return acc + v; });
-      level_of[n] = static_cast<std::uint32_t>(started + st.w);
+      (*level_of)[n] = static_cast<std::uint32_t>(started + st.w);
     }
+    return chain;
+  }
 
+  ExactChain chain() {
+    std::vector<std::uint32_t> level_of;
+    const SparseCtmc built = build_chain(&level_of);
+    return {built.rate_matrix(), built.exit_rates(), std::move(level_of)};
+  }
+
+  ExactCtmcResult solve() {
+    std::vector<std::uint32_t> level_of;
+    const SparseCtmc chain = build_chain(&level_of);
     ExactCtmcResult result;
     auto [pi, solve_info] =
         solve_stationary(chain.rate_matrix(), chain.exit_rates(), level_of,
@@ -577,12 +601,8 @@ class PhChainBuilder {
   std::vector<CtmcTransition> transitions_;
 };
 
-}  // namespace
-
-ExactCtmcResult solve_exact_ctmc_ph(const SystemParams& params,
-                                    const AllocationPolicy& policy,
-                                    const PhaseType& size_dist_i,
-                                    const ExactCtmcOptions& options) {
+void check_ph_inputs(const SystemParams& params, const PhaseType& size_dist_i,
+                     const ExactCtmcOptions& options) {
   params.validate();
   ESCHED_CHECK(params.stable(), "exact solve requires rho < 1");
   ESCHED_CHECK(options.imax >= 1 && options.jmax >= 1,
@@ -594,8 +614,26 @@ ExactCtmcResult solve_exact_ctmc_ph(const SystemParams& params,
                    std::to_string(size_dist_i.num_phases()) +
                    " phases; the exact backend supports at most " +
                    std::to_string(kMaxPhPhases) + " (use the sim backend)");
+}
+
+}  // namespace
+
+ExactCtmcResult solve_exact_ctmc_ph(const SystemParams& params,
+                                    const AllocationPolicy& policy,
+                                    const PhaseType& size_dist_i,
+                                    const ExactCtmcOptions& options) {
+  check_ph_inputs(params, size_dist_i, options);
   PhChainBuilder builder(params, policy, size_dist_i, options);
   return builder.solve();
+}
+
+ExactChain exact_chain_ph(const SystemParams& params,
+                          const AllocationPolicy& policy,
+                          const PhaseType& size_dist_i,
+                          const ExactCtmcOptions& options) {
+  check_ph_inputs(params, size_dist_i, options);
+  PhChainBuilder builder(params, policy, size_dist_i, options);
+  return builder.chain();
 }
 
 }  // namespace esched

@@ -75,6 +75,15 @@ struct ExactCtmcResult {
   ExactCostPrediction prediction;
 };
 
+/// The chain an exact solve hands to its stationary solver: off-diagonal
+/// rates, exit rates and the level partition the block solver runs on.
+/// For callers that drive a stationary solver directly (tests, benches).
+struct ExactChain {
+  CsrMatrix rates;
+  Vector exit_rates;
+  std::vector<std::uint32_t> level_of;
+};
+
 /// Solves the truncated chain for `policy` at `params`. Requires rho < 1
 /// (otherwise the truncated result is meaningless and this throws).
 /// Equivalent to ExactCtmcBatch(params, options).solve(policy).
@@ -102,11 +111,16 @@ class ExactCtmcBatch {
   ExactCtmcBatch(const SystemParams& params, const ExactCtmcOptions& options);
 
   ExactCtmcResult solve(const AllocationPolicy& policy);
+  /// The generator solve() would solve for `policy`, as a copy.
+  ExactChain chain(const AllocationPolicy& policy);
 
   const SystemParams& params() const { return params_; }
   const ExactCtmcOptions& options() const { return options_; }
 
  private:
+  /// Fills scratch_rates_/scratch_exit_ with `policy`'s generator.
+  void overlay(const AllocationPolicy& policy);
+
   SystemParams params_;
   ExactCtmcOptions options_;
   /// Arrival-only rate skeleton (frozen CSR) and the arrival part of each
@@ -145,6 +159,13 @@ ExactCtmcResult solve_exact_ctmc_ph(const SystemParams& params,
                                     const AllocationPolicy& policy,
                                     const PhaseType& size_dist_i,
                                     const ExactCtmcOptions& options = {});
+
+/// The reachable phase-augmented chain solve_exact_ctmc_ph solves, with
+/// its level partition (same checks, no solve).
+ExactChain exact_chain_ph(const SystemParams& params,
+                          const AllocationPolicy& policy,
+                          const PhaseType& size_dist_i,
+                          const ExactCtmcOptions& options = {});
 
 /// Truncation level at which a geometric tail of ratio rho holds at most
 /// `epsilon` mass — a reasonable default for both dimensions. Clamped to

@@ -3,24 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/invariants.hpp"
-#include "linalg/lu.hpp"
+#include "linalg/matrix.hpp"
+#include "obs/trace.hpp"
 
 namespace esched {
 
 namespace {
 
-/// Per-state (level, index-within-level) coordinates plus the per-level
-/// state lists. Within a level, states keep ascending global order, so the
-/// construction is deterministic.
+/// Per-state (level, index-within-level) coordinates and each level's
+/// states, flat: level l owns states[start[l] .. start[l + 1]), in
+/// ascending global order, so the construction is deterministic.
 struct LevelPartition {
-  std::vector<std::uint32_t> level;       // = level_of (validated)
-  std::vector<std::size_t> local;         // index within the level
-  std::vector<std::vector<std::size_t>> states;  // per level, ascending
+  std::vector<std::size_t> local;   // index within the level
+  std::vector<std::size_t> start;   // num_levels + 1 offsets into states
+  std::vector<std::size_t> states;
+
+  std::size_t num_levels() const { return start.size() - 1; }
+  std::size_t size(std::size_t l) const { return start[l + 1] - start[l]; }
+  const std::size_t* of(std::size_t l) const {
+    return states.data() + start[l];
+  }
 };
 
 LevelPartition partition_levels(const std::vector<std::uint32_t>& level_of,
@@ -30,148 +36,350 @@ LevelPartition partition_levels(const std::vector<std::uint32_t>& level_of,
   for (std::uint32_t l : level_of) max_level = std::max(max_level, l);
   const std::size_t num_levels = static_cast<std::size_t>(max_level) + 1;
   LevelPartition p;
-  p.level = level_of;
   p.local.resize(n);
-  p.states.resize(num_levels);
-  for (std::size_t s = 0; s < n; ++s) {
-    p.local[s] = p.states[level_of[s]].size();
-    p.states[level_of[s]].push_back(s);
-  }
+  p.start.assign(num_levels + 1, 0);
+  for (std::uint32_t l : level_of) ++p.start[l + 1];
   for (std::size_t l = 0; l < num_levels; ++l) {
-    ESCHED_CHECK(!p.states[l].empty(),
+    ESCHED_CHECK(p.start[l + 1] != 0,
                  "level " + std::to_string(l) +
                      " is empty: levels must be contiguous 0..L-1 (the "
                      "chain is reducible across levels)");
+    p.start[l + 1] += p.start[l];
+  }
+  p.states.resize(n);
+  std::vector<std::size_t> fill(p.start.begin(), p.start.end() - 1);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::size_t at = fill[level_of[s]]++;
+    p.local[s] = at - p.start[level_of[s]];
+    p.states[at] = s;
   }
   return p;
 }
 
-/// File-local LU for the censored level generators (-S)^T. Same pivoting
-/// and singularity conventions as LuFactorization, but tuned for this
-/// caller: the update loop touches only the nonzero entries of the pivot
-/// row, and the factors are compressed into sparse column/row lists for
-/// the many solves that follow. The level generators are banded except in
-/// the few fold-modified columns (see the backward sweep), and (-S)^T is
-/// column-wise diagonally dominant, so pivoting essentially never swaps
-/// and the elimination preserves the caller's dense-rows-last ordering —
-/// the factors stay near the sparsity of the inputs instead of filling.
-class FoldFactor {
- public:
-  explicit FoldFactor(Matrix g) {
-    const std::size_t n = g.rows();
-    perm_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-    std::vector<std::size_t> urow;
-    for (std::size_t col = 0; col < n; ++col) {
-      std::size_t pivot = col;
-      double best = std::abs(g(col, col));
+/// Row operations run in whole tiles of kTile doubles: every panel and
+/// factor row is padded to a multiple of kTile (widths below kTile stay
+/// exact), and the fixed trip count of the tile loop is what GCC
+/// vectorizes at -O2. Tiles span independent outputs only, so each entry
+/// still sees its own terms one at a time, in the caller's order.
+constexpr std::size_t kTile = 4;
+
+/// Pivots per panel of the dense LU (see KeptFactor::factor).
+constexpr std::size_t kPanel = 8;
+
+std::uint32_t to_u32(std::size_t i) { return static_cast<std::uint32_t>(i); }
+
+std::size_t round_up_to_tile(std::size_t w) {
+  return (w + kTile - 1) / kTile * kTile;
+}
+
+/// Panel width for m right-hand sides: exact below one tile, else padded.
+std::size_t panel_width(std::size_t m) {
+  return m < kTile ? m : round_up_to_tile(m);
+}
+
+/// dst[j] += a * src[j] for j < width.
+void add_scaled(double* __restrict dst, const double* __restrict src,
+                double a, std::size_t width) {
+  std::size_t j = 0;
+  for (; j + kTile <= width; j += kTile) {
+    for (std::size_t t = 0; t < kTile; ++t) dst[j + t] += a * src[j + t];
+  }
+  for (; j < width; ++j) dst[j] += a * src[j];
+}
+
+/// dst[t] -= a * src[t] for t < kWide.
+template <std::size_t kWide>
+void sub_scaled_tile(double* __restrict dst, const double* __restrict src,
+                     double a) {
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < kWide; ++t) dst[t] -= a * src[t];
+}
+
+/// y[t] -= sum_e value[e] * row_of(e)[t] for t < kWide, the terms
+/// subtracted one at a time in e order, with the kWide partial sums kept
+/// in registers for the whole sum.
+template <std::size_t kWide, typename RowOf>
+void sub_rows_tile(double* __restrict y, RowOf row_of, const double* value,
+                   std::size_t count) {
+  double a[kWide];
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < kWide; ++t) a[t] = y[t];
+  for (std::size_t e = 0; e < count; ++e) {
+    const double* __restrict src = row_of(e);
+    const double v = value[e];
+#pragma GCC unroll 16
+    for (std::size_t t = 0; t < kWide; ++t) a[t] -= v * src[t];
+  }
+#pragma GCC unroll 16
+  for (std::size_t t = 0; t < kWide; ++t) y[t] = a[t];
+}
+
+/// Calls tile.template operator()<W>(j) over [0, width) in register tiles
+/// of W = 16, 8 and 4 columns, then single columns.
+template <typename Tile>
+void for_each_tile(std::size_t width, Tile tile) {
+  std::size_t j = 0;
+  for (; j + 4 * kTile <= width; j += 4 * kTile) {
+    tile.template operator()<4 * kTile>(j);
+  }
+  if (j + 2 * kTile <= width) {
+    tile.template operator()<2 * kTile>(j);
+    j += 2 * kTile;
+  }
+  if (j + kTile <= width) {
+    tile.template operator()<kTile>(j);
+    j += kTile;
+  }
+  for (; j < width; ++j) tile.template operator()<1>(j);
+}
+
+/// y[j] -= sum_e value[e] * rows[e * stride + j] for j < width, the terms
+/// subtracted one at a time in e order.
+void sub_dense(double* y, const double* rows, std::size_t stride,
+               const double* value, std::size_t count, std::size_t width) {
+  if (count == 0) return;
+  for_each_tile(width, [&]<std::size_t kWide>(std::size_t j) {
+    sub_rows_tile<kWide>(
+        y + j, [&](std::size_t e) { return rows + e * stride + j; }, value,
+        count);
+  });
+}
+
+/// Nonzero entries of n lines (rows or columns) in one flat CSR layout:
+/// line k holds index/value[start[k] .. start[k + 1]), indices ascending.
+struct SparseLines {
+  std::vector<std::uint32_t> start;
+  std::vector<std::uint32_t> index;
+  std::vector<double> value;
+};
+
+/// One level's LU factors of the censored generator, kept for the
+/// forward pass. G = (-S_{l+1})^T is symmetrically permuted so the
+/// fold-densified indices come last (`order`), then row-pivoted: P G = L U.
+/// Only nonzero entries are stored, so sparse leading rows stay sparse.
+struct KeptFactor {
+  std::vector<std::uint32_t> order;      ///< permuted index -> level-local
+  std::vector<std::uint32_t> row_state;  ///< factor row -> level-local
+  Vector diag;                           ///< diagonal of U
+  SparseLines lower;                     ///< strict L, by column
+  SparseLines upper;                     ///< strict U, by row
+
+  /// Factors the n x n row-major `g` (row stride ld, a multiple of kTile,
+  /// pad columns zero) in place, then keeps its nonzeros. Partial
+  /// pivoting with the same singularity check as LuFactorization. The
+  /// first n_sparse pivots eliminate the banded level generator: their
+  /// updates touch only the pivot row's nonzero columns. The trailing
+  /// fold-densified block runs in panels of kPanel pivots: each pivot
+  /// updates the panel's own columns at once, and the columns right of
+  /// the panel take the panel's kPanel updates in one register-tiled
+  /// pass per row. Every entry still takes its updates one pivot at a
+  /// time in pivot order, so the factors are those of the one-pivot-at-a-
+  /// time elimination (which skips zero terms; a zero term changes no
+  /// value).
+  void factor(double* g, std::size_t n, std::size_t ld, std::size_t n_sparse,
+              std::uint32_t* perm, std::vector<std::size_t>& urow,
+              SparseLines& l_rec, SparseLines& u_rec) {
+    for (std::size_t i = 0; i < n; ++i) perm[i] = to_u32(i);
+    for (SparseLines* rec : {&l_rec, &u_rec}) {
+      rec->start.assign(1, 0);
+      rec->index.clear();
+      rec->value.clear();
+    }
+    const auto push = [](SparseLines& rec, std::size_t i, double v) {
+      rec.index.push_back(to_u32(i));
+      rec.value.push_back(v);
+    };
+    const auto end_line = [](SparseLines& rec) {
+      rec.start.push_back(to_u32(rec.index.size()));
+    };
+    bool swapped = false;
+    const auto pivot = [&](std::size_t col) {
+      std::size_t best_row = col;
+      double best = std::abs(g[col * ld + col]);
       for (std::size_t r = col + 1; r < n; ++r) {
-        const double cand = std::abs(g(r, col));
+        const double cand = std::abs(g[r * ld + col]);
         if (cand > best) {
           best = cand;
-          pivot = r;
+          best_row = r;
         }
       }
       ESCHED_CHECK(best > 1e-300, "matrix is numerically singular");
-      if (pivot != col) {
-        for (std::size_t c = 0; c < n; ++c) std::swap(g(pivot, c), g(col, c));
-        std::swap(perm_[pivot], perm_[col]);
+      if (best_row != col) {
+        std::swap_ranges(g + best_row * ld, g + best_row * ld + ld,
+                         g + col * ld);
+        std::swap(perm[best_row], perm[col]);
+        swapped = true;
       }
-      const double inv_diag = 1.0 / g(col, col);
+      return 1.0 / g[col * ld + col];
+    };
+    for (std::size_t col = 0; col < n_sparse; ++col) {
+      const double inv_diag = pivot(col);
+      const double* prow = g + col * ld;
       urow.clear();
       for (std::size_t c = col + 1; c < n; ++c) {
-        if (g(col, c) != 0.0) urow.push_back(c);
+        if (prow[c] == 0.0) continue;
+        urow.push_back(c);
+        push(u_rec, c, prow[c]);
       }
+      end_line(u_rec);
       for (std::size_t r = col + 1; r < n; ++r) {
-        const double factor = g(r, col) * inv_diag;
-        g(r, col) = factor;
+        double* row = g + r * ld;
+        const double factor = row[col] * inv_diag;
+        row[col] = factor;
         if (factor == 0.0) continue;
-        for (const std::size_t c : urow) g(r, c) -= factor * g(col, c);
+        push(l_rec, r, factor);
+        for (const std::size_t c : urow) row[c] -= factor * prow[c];
+      }
+      end_line(l_rec);
+    }
+    for (std::size_t p0 = n_sparse; p0 < n; p0 += kPanel) {
+      const std::size_t p1 = std::min(n, p0 + kPanel);
+      for (std::size_t col = p0; col < p1; ++col) {
+        const double inv_diag = pivot(col);
+        const double* prow = g + col * ld;
+        for (std::size_t r = col + 1; r < n; ++r) {
+          double* row = g + r * ld;
+          const double factor = row[col] * inv_diag;
+          row[col] = factor;
+          if (factor == 0.0) continue;
+          push(l_rec, r, factor);
+          for (std::size_t c = col + 1; c < p1; ++c) {
+            row[c] -= factor * prow[c];
+          }
+        }
+        end_line(l_rec);
+      }
+      // Right of the panel: the panel's rows take the updates of the
+      // pivots above them, every later row all kPanel updates.
+      const double* u = g + p0 * ld + p1;
+      for (std::size_t r = p0 + 1; r < n; ++r) {
+        double* row = g + r * ld;
+        sub_dense(row + p1, u, ld, row + p0, std::min(r, p1) - p0, ld - p1);
+      }
+      for (std::size_t col = p0; col < p1; ++col) {
+        const double* prow = g + col * ld;
+        for (std::size_t c = col + 1; c < n; ++c) {
+          if (prow[c] != 0.0) push(u_rec, c, prow[c]);
+        }
+        end_line(u_rec);
       }
     }
-    diag_.resize(n);
-    l_cols_.resize(n);
-    u_rows_.resize(n);
-    for (std::size_t r = 0; r < n; ++r) {
-      diag_[r] = g(r, r);
-      for (std::size_t c = r + 1; c < n; ++c) {
-        if (g(r, c) != 0.0) u_rows_[r].emplace_back(c, g(r, c));
-        if (g(c, r) != 0.0) l_cols_[r].emplace_back(c, g(c, r));
-      }
-    }
+    // A row swap moves the multipliers already recorded in earlier
+    // columns; rescan L then (partial pivoting rarely swaps here).
+    keep(g, n, ld, perm, swapped ? nullptr : &l_rec, u_rec);
   }
 
-  std::size_t dim() const { return diag_.size(); }
-
-  /// Solves G x = b.
-  Vector solve(const Vector& b) const {
-    const std::size_t n = dim();
-    Vector x(n);
-    for (std::size_t r = 0; r < n; ++r) x[r] = b[perm_[r]];
+  /// Solves G x = b in level-local indexing (the forward pass:
+  /// pi_{l+1} = (pi_l B_l) (-S_{l+1})^{-1}). `x` is n doubles of scratch.
+  void solve(const double* b, double* x, double* out) const {
+    const std::size_t n = diag.size();
+    for (std::size_t r = 0; r < n; ++r) x[r] = b[row_state[r]];
     for (std::size_t k = 0; k < n; ++k) {
       const double xk = x[k];
       if (xk == 0.0) continue;
-      for (const auto& [r, m] : l_cols_[k]) x[r] -= m * xk;
+      for (std::uint32_t e = lower.start[k]; e < lower.start[k + 1]; ++e) {
+        x[lower.index[e]] -= lower.value[e] * xk;
+      }
     }
     for (std::size_t k = n; k-- > 0;) {
       double acc = x[k];
-      for (const auto& [c, v] : u_rows_[k]) acc -= v * x[c];
-      x[k] = acc / diag_[k];
+      for (std::uint32_t e = upper.start[k]; e < upper.start[k + 1]; ++e) {
+        acc -= upper.value[e] * x[upper.index[e]];
+      }
+      x[k] = acc / diag[k];
     }
-    return x;
+    for (std::size_t i = 0; i < n; ++i) out[order[i]] = x[i];
   }
 
-  /// Solves G^T x = b (G = P^T L U ⇒ G^T = U^T L^T P).
-  Vector solve_transposed(const Vector& b) const {
-    const std::size_t n = dim();
-    Vector y = b;
-    for (std::size_t k = 0; k < n; ++k) {
-      const double yk = y[k] / diag_[k];
-      y[k] = yk;
-      if (yk == 0.0) continue;
-      for (const auto& [c, v] : u_rows_[k]) y[c] -= v * yk;
-    }
-    for (std::size_t k = n; k-- > 0;) {
-      double acc = y[k];
-      for (const auto& [r, m] : l_cols_[k]) acc -= m * y[r];
-      y[k] = acc;
-    }
-    Vector x(n);
-    for (std::size_t r = 0; r < n; ++r) x[perm_[r]] = y[r];
-    return x;
+  /// Solves G^T Y = C in place for a panel of right-hand sides: row i of
+  /// the n x width `panel` holds entry order[i] of every right-hand side
+  /// on entry, and row r holds entry row_state[r] of every solution on
+  /// return. Runs tile by tile, so a tile's rows stay in cache for both
+  /// sweeps; callers sort the columns by their first nonzero row, so a
+  /// tile joins the U^T sweep only where one of its columns turns nonzero.
+  void solve_transposed(double* panel, std::size_t width) const {
+    for_each_tile(width, [&]<std::size_t kWide>(std::size_t j) {
+      solve_transposed_tile<kWide>(panel + j, width);
+    });
   }
 
  private:
-  std::vector<std::size_t> perm_;
-  Vector diag_;
-  /// Strict lower factor by column / strict upper factor by row.
-  std::vector<std::vector<std::pair<std::size_t, double>>> l_cols_;
-  std::vector<std::vector<std::pair<std::size_t, double>>> u_rows_;
-};
-
-/// A level's factored censored generator: FoldFactor over (-S_{l+1})^T
-/// symmetrically permuted so the fold-densified indices come last (banded
-/// elimination first, dense fill confined to the trailing block).
-struct LevelFactor {
-  std::vector<std::size_t> order;  ///< permuted index -> level-local index
-  std::optional<FoldFactor> factor;
-
-  Vector solve(const Vector& v) const {
-    return unpermute(factor->solve(permute(v)));
+  /// solve_transposed on kWide panel columns (row stride `width`): the
+  /// U^T sweep divides row k by its pivot, then subtracts multiples of it
+  /// from later rows (skipped while the tile's row k is all zero, as a
+  /// vector solve skips a zero entry); the L^T sweep subtracts from row k
+  /// the multiples of later rows, in ascending row order.
+  template <std::size_t kWide>
+  void solve_transposed_tile(double* __restrict panel,
+                             std::size_t width) const {
+    const std::size_t n = diag.size();
+    for (std::size_t k = 0; k < n; ++k) {
+      double* yk = panel + k * width;
+      const double d = diag[k];
+      double y[kWide];
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kWide; ++t) y[t] = yk[t] / d;
+#pragma GCC unroll 16
+      for (std::size_t t = 0; t < kWide; ++t) yk[t] = y[t];
+      if (std::all_of(y, y + kWide, [](double v) { return v == 0.0; })) {
+        continue;
+      }
+      for (std::uint32_t e = upper.start[k]; e < upper.start[k + 1]; ++e) {
+        sub_scaled_tile<kWide>(panel + upper.index[e] * width, y,
+                               upper.value[e]);
+      }
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      const std::uint32_t* index = lower.index.data() + lower.start[k];
+      sub_rows_tile<kWide>(
+          panel + k * width,
+          [&](std::size_t e) { return panel + index[e] * width; },
+          lower.value.data() + lower.start[k],
+          lower.start[k + 1] - lower.start[k]);
+    }
   }
-  Vector solve_transposed(const Vector& v) const {
-    return unpermute(factor->solve_transposed(permute(v)));
+
+  /// Keeps the factors: U as recorded row by row, L as recorded column by
+  /// column or, with l_rec null, rescanned from g.
+  void keep(const double* g, std::size_t n, std::size_t ld,
+            const std::uint32_t* perm, const SparseLines* l_rec,
+            const SparseLines& u_rec) {
+    row_state.resize(n);
+    diag.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      row_state[r] = order[perm[r]];
+      diag[r] = g[r * ld + r];
+    }
+    upper = u_rec;
+    if (l_rec != nullptr) {
+      lower = *l_rec;
+    } else {
+      keep_lines(lower, n, [&](std::size_t k, std::size_t i) {
+        return g[i * ld + k];
+      });
+    }
   }
 
-  Vector permute(const Vector& v) const {
-    Vector p(v.size());
-    for (std::size_t i = 0; i < v.size(); ++i) p[i] = v[order[i]];
-    return p;
-  }
-  Vector unpermute(const Vector& p) const {
-    Vector v(p.size());
-    for (std::size_t i = 0; i < p.size(); ++i) v[order[i]] = p[i];
-    return v;
+  /// Keeps line k's nonzero entries at(k, i), i in (k, n), for every k.
+  template <typename At>
+  static void keep_lines(SparseLines& lines, std::size_t n, At at) {
+    lines.start.assign(n + 1, 0);
+    for (std::size_t k = 0; k < n; ++k) {
+      std::uint32_t count = 0;
+      for (std::size_t i = k + 1; i < n; ++i) count += at(k, i) != 0.0;
+      lines.start[k + 1] = lines.start[k] + count;
+    }
+    lines.index.resize(lines.start[n]);
+    lines.value.resize(lines.start[n]);
+    std::uint32_t e = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      for (std::size_t i = k + 1; i < n; ++i) {
+        const double v = at(k, i);
+        if (v == 0.0) continue;
+        lines.index[e] = to_u32(i);
+        lines.value[e++] = v;
+      }
+    }
   }
 };
 
@@ -235,7 +443,7 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
   ESCHED_DEBUG_CHECK(
       check_generator(rates, exit_rates, "block_tridiagonal_stationary"));
   const LevelPartition part = partition_levels(level_of, n);
-  const std::size_t num_levels = part.states.size();
+  const std::size_t num_levels = part.num_levels();
 
   // Validate the level structure once up front so the elimination below
   // can assume |level(from) - level(to)| <= 1, and that every level can be
@@ -248,15 +456,15 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
     const std::size_t* to = rates.row_cols(s);
     const std::size_t nnz = rates.row_nnz(s);
     for (std::size_t k = 0; k < nnz; ++k) {
-      const long diff = static_cast<long>(part.level[s]) -
-                        static_cast<long>(part.level[to[k]]);
+      const long diff = static_cast<long>(level_of[s]) -
+                        static_cast<long>(level_of[to[k]]);
       ESCHED_CHECK(diff >= -1 && diff <= 1,
                    "transition " + std::to_string(s) + " -> " +
                        std::to_string(to[k]) + " jumps from level " +
-                       std::to_string(part.level[s]) + " to level " +
-                       std::to_string(part.level[to[k]]) +
+                       std::to_string(level_of[s]) + " to level " +
+                       std::to_string(level_of[to[k]]) +
                        ": the chain is not level-structured");
-      if (diff == 1) has_down[part.level[s]] = true;
+      if (diff == 1) has_down[level_of[s]] = true;
     }
   }
   for (std::size_t l = 1; l < num_levels; ++l) {
@@ -267,149 +475,218 @@ Vector block_tridiagonal_stationary(const CsrMatrix& rates,
                      "below is transient); use an iterative solver");
   }
 
-  // Dense within-level block A_l with the implied diagonal -exit. Exit
-  // rates include transitions to *other* levels, so the diagonal of S_l
-  // carries the escape mass GTH later treats as censored.
-  const auto level_block = [&](std::size_t l) {
-    const std::vector<std::size_t>& states = part.states[l];
-    const std::size_t b = states.size();
-    Matrix a(b, b);
+  // One workspace for the whole solve, sized by the largest level: the
+  // censored block S and its successor, the factor buffer, the panel of
+  // fold right-hand sides with one accumulator row, and index scratch.
+  std::size_t max_b = 0;
+  for (std::size_t l = 0; l < num_levels; ++l) {
+    max_b = std::max(max_b, part.size(l));
+  }
+  const std::size_t max_ld = round_up_to_tile(max_b);
+  Vector s_block(max_b * max_b);
+  Vector next(max_b * max_b);
+  Vector g(max_b * max_ld);
+  Vector panel(max_b * max_ld);
+  Vector acc(max_ld);
+  constexpr std::size_t kInactive = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> urow, panel_row(max_b), col_slot(max_b),
+      first_row(max_b), col_of(max_b), solved_row(max_b);
+  urow.reserve(max_b);
+  std::vector<std::uint32_t> perm(max_b);
+  SparseLines l_rec, u_rec;
+  // Columns of the current S that a fold has touched: A_l is sparse, and
+  // the fold only densifies the columns that receive down-transitions, so
+  // marking them lets each factorization order the dense part last.
+  std::vector<char> fold_marks(max_b, 0);
+
+  // Dense within-level block A_l (row-major, b x b) with the implied
+  // diagonal -exit. Exit rates include transitions to *other* levels, so
+  // the diagonal of S_l carries the escape mass GTH later treats as
+  // censored.
+  const auto level_block = [&](std::size_t l, double* a) {
+    const std::size_t* states = part.of(l);
+    const std::size_t b = part.size(l);
+    std::fill(a, a + b * b, 0.0);
     for (std::size_t r = 0; r < b; ++r) {
       const std::size_t u = states[r];
-      a(r, r) = -exit_rates[u];
+      a[r * b + r] = -exit_rates[u];
       const std::size_t* to = rates.row_cols(u);
       const double* rate = rates.row_values(u);
       const std::size_t nnz = rates.row_nnz(u);
       for (std::size_t k = 0; k < nnz; ++k) {
-        if (part.level[to[k]] == l) a(r, part.local[to[k]]) += rate[k];
+        if (level_of[to[k]] == l) a[r * b + part.local[to[k]]] += rate[k];
       }
     }
-    return a;
   };
 
   // Backward sweep: S starts as A_{L-1}; each step folds level l+1 into
   // level l. The expected-visits factor R_l = B_l (-S_{l+1})^{-1} is never
   // formed densely: the fold S_l = A_l + R_l C_{l+1} needs only
-  // X = (-S_{l+1})^{-1} C_{l+1} — one triangular solve per nonzero COLUMN
-  // of C, and down-transitions land on few level-l states — and the
-  // forward pass needs only pi_l R_l, one solve against the kept factor
-  // per level. That replaces b solves per level (every row of R) with
-  // ~|cols(C)| + 1, which is what makes the direct solve beat SOR on the
-  // phase-augmented chains.
-  std::vector<std::optional<LevelFactor>> up_factor(
-      num_levels > 0 ? num_levels - 1 : 0);
-  Matrix s_block = level_block(num_levels - 1);
-  // Columns of the current s_block that a fold has touched: A_l is sparse,
-  // and the fold only densifies the columns that receive down-transitions,
-  // so marking them lets each factorization order the dense part last.
-  std::vector<bool> fold_marks(part.states[num_levels - 1].size(), false);
-  Vector rhs;
-  for (std::size_t l = num_levels - 1; l-- > 0;) {
-    const std::vector<std::size_t>& states = part.states[l];
-    const std::vector<std::size_t>& above = part.states[l + 1];
-    const std::size_t b = states.size();
-    const std::size_t b_up = above.size();
+  // X = (-S_{l+1})^{-1} C_{l+1} on the nonzero COLUMNS of C — and
+  // down-transitions land on few level-l states — and the forward pass
+  // needs only pi_l R_l, one solve against the kept factor per level.
+  // That replaces b solves per level (every row of R) with one panel
+  // solve of ~|cols(C)| right-hand sides plus one vector solve, which is
+  // what makes the direct solve beat SOR on the phase-augmented chains.
+  std::vector<KeptFactor> kept(num_levels - 1);
+  {
+    const TraceSpan backward_span("block.backward");
+    level_block(num_levels - 1, s_block.data());
+    for (std::size_t l = num_levels - 1; l-- > 0;) {
+      const std::size_t* above = part.of(l + 1);
+      const std::size_t b = part.size(l);
+      const std::size_t b_up = part.size(l + 1);
 
-    // Factor G = (-S_{l+1})^T: solve(v) then gives v^T (-S_{l+1})^{-1}
-    // (the forward-pass direction, cache-friendly) and solve_transposed(c)
-    // gives (-S_{l+1})^{-1} c (the X columns below). Fold-densified columns
-    // of S become dense rows of G; order them last so the leading sparse
-    // part eliminates without fill spreading.
-    LevelFactor lf;
-    lf.order.reserve(b_up);
-    for (std::size_t i = 0; i < b_up; ++i) {
-      if (!fold_marks[i]) lf.order.push_back(i);
-    }
-    for (std::size_t i = 0; i < b_up; ++i) {
-      if (fold_marks[i]) lf.order.push_back(i);
-    }
-    Matrix g(b_up, b_up);
-    for (std::size_t r = 0; r < b_up; ++r) {
-      for (std::size_t c = 0; c < b_up; ++c) {
-        g(r, c) = -s_block(lf.order[c], lf.order[r]);
+      // Factor G = (-S_{l+1})^T: solve() then gives v^T (-S_{l+1})^{-1}
+      // (the forward-pass direction) and solve_transposed() gives
+      // (-S_{l+1})^{-1} C (the X panel below). Fold-densified columns of S
+      // become dense rows of G; order them last so the leading sparse part
+      // eliminates without fill spreading.
+      KeptFactor& factor = kept[l];
+      factor.order.resize(b_up);
+      std::size_t n_sparse = 0;
+      for (std::size_t i = 0; i < b_up; ++i) {
+        if (fold_marks[i] == 0) factor.order[n_sparse++] = to_u32(i);
       }
-    }
-    lf.factor.emplace(std::move(g));
-    up_factor[l] = std::move(lf);
-    const LevelFactor& factor = *up_factor[l];
+      for (std::size_t i = 0, at = n_sparse; i < b_up; ++i) {
+        if (fold_marks[i] != 0) factor.order[at++] = to_u32(i);
+      }
+      const std::size_t ld = round_up_to_tile(b_up);
+      for (std::size_t r = 0; r < b_up; ++r) {
+        double* row = g.data() + r * ld;
+        const std::size_t col = factor.order[r];
+        for (std::size_t c = 0; c < b_up; ++c) {
+          row[c] = -s_block[factor.order[c] * b_up + col];
+        }
+        std::fill(row + b_up, row + ld, 0.0);
+        panel_row[factor.order[r]] = r;
+      }
+      factor.factor(g.data(), b_up, ld, n_sparse, perm.data(), urow, l_rec,
+                    u_rec);
 
-    // C_{l+1} packed by target column (level-l local index).
-    std::vector<std::vector<std::pair<std::size_t, double>>> c_cols(b);
-    for (std::size_t r2 = 0; r2 < b_up; ++r2) {
-      const std::size_t u2 = above[r2];
-      const std::size_t* to = rates.row_cols(u2);
-      const double* rate = rates.row_values(u2);
-      const std::size_t nnz = rates.row_nnz(u2);
-      for (std::size_t k = 0; k < nnz; ++k) {
-        if (part.level[to[k]] == l) {
-          c_cols[part.local[to[k]]].emplace_back(r2, rate[k]);
+      // The active columns of C_{l+1} (level-l down-targets), sorted by
+      // the first panel row their right-hand side fills. Panel row i holds
+      // level-(l+1) state order[i] on input.
+      std::fill(col_slot.begin(), col_slot.begin() + b, kInactive);
+      for (std::size_t r2 = 0; r2 < b_up; ++r2) {
+        const std::size_t* to = rates.row_cols(above[r2]);
+        const std::size_t nnz = rates.row_nnz(above[r2]);
+        for (std::size_t k = 0; k < nnz; ++k) {
+          if (level_of[to[k]] != l) continue;
+          const std::size_t c = part.local[to[k]];
+          if (col_slot[c] == kInactive) {
+            col_slot[c] = 0;
+            first_row[c] = panel_row[r2];
+          } else {
+            first_row[c] = std::min(first_row[c], panel_row[r2]);
+          }
         }
       }
-    }
+      std::size_t m = 0;
+      for (std::size_t c = 0; c < b; ++c) {
+        if (col_slot[c] != kInactive) col_of[m++] = c;
+      }
+      std::sort(col_of.begin(), col_of.begin() + m,
+                [&](std::size_t x, std::size_t y) {
+                  return std::pair(first_row[x], x) <
+                         std::pair(first_row[y], y);
+                });
+      for (std::size_t j = 0; j < m; ++j) col_slot[col_of[j]] = j;
 
-    // S_l = A_l + B_l X, one active column at a time.
-    Matrix next = level_block(l);
-    for (std::size_t c = 0; c < b; ++c) {
-      if (c_cols[c].empty()) continue;
-      rhs.assign(b_up, 0.0);
-      for (const auto& [r2, w] : c_cols[c]) rhs[r2] += w;
-      const Vector x = factor.solve_transposed(rhs);
+      // X = (-S_{l+1})^{-1} C_{l+1} for every active column at once.
+      // Each right-hand side is summed in the order of its entries, from
+      // zero, as a vector of its own would be.
+      const std::size_t width = panel_width(m);
+      std::fill(panel.begin(), panel.begin() + b_up * width, 0.0);
+      for (std::size_t r2 = 0; r2 < b_up; ++r2) {
+        const std::size_t* to = rates.row_cols(above[r2]);
+        const double* rate = rates.row_values(above[r2]);
+        const std::size_t nnz = rates.row_nnz(above[r2]);
+        double* row = panel.data() + panel_row[r2] * width;
+        for (std::size_t k = 0; k < nnz; ++k) {
+          if (level_of[to[k]] == l) {
+            row[col_slot[part.local[to[k]]]] += rate[k];
+          }
+        }
+      }
+      factor.solve_transposed(panel.data(), width);
+      for (std::size_t r = 0; r < b_up; ++r) {
+        solved_row[factor.row_state[r]] = r;
+      }
+
+      // S_l = A_l + B_l X, one level-l row at a time: per entry the terms
+      // of B_l's row are summed in CSR order from zero, then added once.
+      level_block(l, next.data());
+      const std::size_t* states = part.of(l);
       for (std::size_t i = 0; i < b; ++i) {
         const std::size_t u = states[i];
         const std::size_t* to = rates.row_cols(u);
         const double* rate = rates.row_values(u);
         const std::size_t nnz = rates.row_nnz(u);
-        double acc = 0.0;
+        std::fill(acc.begin(), acc.begin() + width, 0.0);
         for (std::size_t k = 0; k < nnz; ++k) {
-          if (part.level[to[k]] == l + 1) acc += rate[k] * x[part.local[to[k]]];
+          if (level_of[to[k]] != l + 1) continue;
+          add_scaled(acc.data(),
+                     panel.data() + solved_row[part.local[to[k]]] * width,
+                     rate[k], width);
         }
-        next(i, c) += acc;
+        double* row = next.data() + i * b;
+        for (std::size_t j = 0; j < m; ++j) row[col_of[j]] += acc[j];
+      }
+      std::swap(s_block, next);
+      for (std::size_t c = 0; c < b; ++c) {
+        fold_marks[c] = col_slot[c] != kInactive ? 1 : 0;
       }
     }
-    s_block = std::move(next);
-    fold_marks.assign(b, false);
-    for (std::size_t c = 0; c < b; ++c) {
-      if (!c_cols[c].empty()) fold_marks[c] = true;
-    }
   }
-
-  // The censored generator S_0 is a proper (conservative up to roundoff)
-  // generator of the level-0 process; GTH ignores its diagonal, so row-sum
-  // drift is harmless — only clamp roundoff-negative off-diagonals.
-  const std::size_t b0 = part.states[0].size();
-  for (std::size_t r = 0; r < b0; ++r) {
-    for (std::size_t c = 0; c < b0; ++c) {
-      if (r != c && s_block(r, c) < 0.0) s_block(r, c) = 0.0;
-    }
-  }
-  Vector level_pi = gth_stationary(std::move(s_block));
 
   Vector pi(n, 0.0);
-  for (std::size_t r = 0; r < b0; ++r) pi[part.states[0][r]] = level_pi[r];
-  for (std::size_t l = 0; l + 1 < num_levels; ++l) {
-    // pi_{l+1} = pi_l R_l = (pi_l B_l) (-S_{l+1})^{-1}. Exact arithmetic
-    // keeps this non-negative (R is an expected-visits matrix); clamp the
-    // roundoff dust so downstream mass sums keep the old >= 0 guarantee.
-    const std::vector<std::size_t>& states = part.states[l];
-    const std::vector<std::size_t>& above = part.states[l + 1];
-    rhs.assign(above.size(), 0.0);
-    for (std::size_t i = 0; i < states.size(); ++i) {
-      const std::size_t u = states[i];
-      const std::size_t* to = rates.row_cols(u);
-      const double* rate = rates.row_values(u);
-      const std::size_t nnz = rates.row_nnz(u);
-      for (std::size_t k = 0; k < nnz; ++k) {
-        if (part.level[to[k]] == l + 1) {
-          rhs[part.local[to[k]]] += level_pi[i] * rate[k];
-        }
+  {
+    const TraceSpan forward_span("block.forward");
+    // The censored generator S_0 is a proper (conservative up to roundoff)
+    // generator of the level-0 process; GTH ignores its diagonal, so row-sum
+    // drift is harmless — only clamp roundoff-negative off-diagonals.
+    const std::size_t b0 = part.size(0);
+    Matrix s0(b0, b0);
+    for (std::size_t r = 0; r < b0; ++r) {
+      for (std::size_t c = 0; c < b0; ++c) {
+        const double v = s_block[r * b0 + c];
+        s0(r, c) = r != c && v < 0.0 ? 0.0 : v;
       }
     }
-    level_pi = up_factor[l]->solve(rhs);
-    for (double& v : level_pi) {
-      if (v < 0.0) v = 0.0;
+    Vector level_pi(max_b);
+    {
+      const Vector pi0 = gth_stationary(std::move(s0));
+      std::copy(pi0.begin(), pi0.end(), level_pi.begin());
     }
-    for (std::size_t c = 0; c < above.size(); ++c) {
-      pi[above[c]] = level_pi[c];
+
+    for (std::size_t r = 0; r < b0; ++r) pi[part.of(0)[r]] = level_pi[r];
+    Vector rhs(max_b), up_pi(max_b);
+    for (std::size_t l = 0; l + 1 < num_levels; ++l) {
+      // pi_{l+1} = pi_l R_l = (pi_l B_l) (-S_{l+1})^{-1}. Exact arithmetic
+      // keeps this non-negative (R is an expected-visits matrix); clamp the
+      // roundoff dust so downstream mass sums keep the old >= 0 guarantee.
+      const std::size_t* states = part.of(l);
+      const std::size_t* above = part.of(l + 1);
+      const std::size_t b_up = part.size(l + 1);
+      std::fill(rhs.begin(), rhs.begin() + b_up, 0.0);
+      for (std::size_t i = 0; i < part.size(l); ++i) {
+        const std::size_t u = states[i];
+        const std::size_t* to = rates.row_cols(u);
+        const double* rate = rates.row_values(u);
+        const std::size_t nnz = rates.row_nnz(u);
+        for (std::size_t k = 0; k < nnz; ++k) {
+          if (level_of[to[k]] == l + 1) {
+            rhs[part.local[to[k]]] += level_pi[i] * rate[k];
+          }
+        }
+      }
+      kept[l].solve(rhs.data(), acc.data(), up_pi.data());
+      for (std::size_t c = 0; c < b_up; ++c) {
+        const double v = up_pi[c] < 0.0 ? 0.0 : up_pi[c];
+        level_pi[c] = v;
+        pi[above[c]] = v;
+      }
     }
   }
   normalize_probability(pi);

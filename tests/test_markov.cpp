@@ -4,15 +4,23 @@
 // busy-period closed forms it is meant to certify.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <optional>
 #include <random>
+#include <string>
 
 #include "common/error.hpp"
+#include "core/exact_ctmc.hpp"
+#include "core/policies.hpp"
+#include "linalg/matrix.hpp"
 #include "markov/absorbing.hpp"
 #include "markov/birth_death.hpp"
 #include "markov/block_solver.hpp"
 #include "markov/ctmc.hpp"
 #include "markov/stationary.hpp"
+#include "phase/size_dist.hpp"
 
 namespace esched {
 namespace {
@@ -406,6 +414,367 @@ TEST(BlockSolver, FlopEstimateCountsFoldDensifiedColumns) {
   EXPECT_DOUBLE_EQ(block_solver_flop_estimate(line.rate_matrix(), levels),
                    1.0 + 39.0 * 2.0);
 }
+
+// ---------------------------------------------------------------------------
+// Bitwise reference for the block solver's panel kernels: the per-column
+// elimination they replaced, verbatim apart from names and containers. The
+// panel solve, the panel-blocked dense LU and the recorded factors must
+// reproduce every stored value of it, so pi is bitwise the same.
+
+/// Dense LU of the level's (-S)^T with sparse update lists and one solve
+/// per right-hand side.
+class ReferenceFoldFactor {
+ public:
+  explicit ReferenceFoldFactor(Matrix g) {
+    const std::size_t n = g.rows();
+    perm_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+    std::vector<std::size_t> urow;
+    for (std::size_t col = 0; col < n; ++col) {
+      std::size_t pivot = col;
+      double best = std::abs(g(col, col));
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double cand = std::abs(g(r, col));
+        if (cand > best) {
+          best = cand;
+          pivot = r;
+        }
+      }
+      ESCHED_CHECK(best > 1e-300, "matrix is numerically singular");
+      if (pivot != col) {
+        for (std::size_t c = 0; c < n; ++c) std::swap(g(pivot, c), g(col, c));
+        std::swap(perm_[pivot], perm_[col]);
+      }
+      const double inv_diag = 1.0 / g(col, col);
+      urow.clear();
+      for (std::size_t c = col + 1; c < n; ++c) {
+        if (g(col, c) != 0.0) urow.push_back(c);
+      }
+      for (std::size_t r = col + 1; r < n; ++r) {
+        const double factor = g(r, col) * inv_diag;
+        g(r, col) = factor;
+        if (factor == 0.0) continue;
+        for (const std::size_t c : urow) g(r, c) -= factor * g(col, c);
+      }
+    }
+    diag_.resize(n);
+    l_cols_.resize(n);
+    u_rows_.resize(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      diag_[r] = g(r, r);
+      for (std::size_t c = r + 1; c < n; ++c) {
+        if (g(r, c) != 0.0) u_rows_[r].emplace_back(c, g(r, c));
+        if (g(c, r) != 0.0) l_cols_[r].emplace_back(c, g(c, r));
+      }
+    }
+  }
+
+  /// Solves G x = b.
+  Vector solve(const Vector& b) const {
+    const std::size_t n = diag_.size();
+    Vector x(n);
+    for (std::size_t r = 0; r < n; ++r) x[r] = b[perm_[r]];
+    for (std::size_t k = 0; k < n; ++k) {
+      const double xk = x[k];
+      if (xk == 0.0) continue;
+      for (const auto& [r, m] : l_cols_[k]) x[r] -= m * xk;
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      double acc = x[k];
+      for (const auto& [c, v] : u_rows_[k]) acc -= v * x[c];
+      x[k] = acc / diag_[k];
+    }
+    return x;
+  }
+
+  /// Solves G^T x = b (G = P^T L U => G^T = U^T L^T P).
+  Vector solve_transposed(const Vector& b) const {
+    const std::size_t n = diag_.size();
+    Vector y = b;
+    for (std::size_t k = 0; k < n; ++k) {
+      const double yk = y[k] / diag_[k];
+      y[k] = yk;
+      if (yk == 0.0) continue;
+      for (const auto& [c, v] : u_rows_[k]) y[c] -= v * yk;
+    }
+    for (std::size_t k = n; k-- > 0;) {
+      double acc = y[k];
+      for (const auto& [r, m] : l_cols_[k]) acc -= m * y[r];
+      y[k] = acc;
+    }
+    Vector x(n);
+    for (std::size_t r = 0; r < n; ++r) x[perm_[r]] = y[r];
+    return x;
+  }
+
+ private:
+  std::vector<std::size_t> perm_;
+  Vector diag_;
+  std::vector<std::vector<std::pair<std::size_t, double>>> l_cols_;
+  std::vector<std::vector<std::pair<std::size_t, double>>> u_rows_;
+};
+
+/// ReferenceFoldFactor over (-S)^T symmetrically permuted by `order`.
+struct ReferenceLevelFactor {
+  std::vector<std::size_t> order;
+  std::optional<ReferenceFoldFactor> factor;
+
+  Vector permute(const Vector& v) const {
+    Vector p(v.size());
+    for (std::size_t i = 0; i < v.size(); ++i) p[i] = v[order[i]];
+    return p;
+  }
+  Vector unpermute(const Vector& p) const {
+    Vector v(p.size());
+    for (std::size_t i = 0; i < p.size(); ++i) v[order[i]] = p[i];
+    return v;
+  }
+};
+
+/// The per-column block elimination (level validation left to the
+/// solver under test).
+Vector reference_block_stationary(const CsrMatrix& rates,
+                                  const Vector& exit_rates,
+                                  const std::vector<std::uint32_t>& level_of) {
+  const std::size_t n = rates.rows();
+  std::uint32_t max_level = 0;
+  for (std::uint32_t l : level_of) max_level = std::max(max_level, l);
+  const std::size_t num_levels = static_cast<std::size_t>(max_level) + 1;
+  std::vector<std::size_t> local(n);
+  std::vector<std::vector<std::size_t>> states(num_levels);
+  for (std::size_t s = 0; s < n; ++s) {
+    local[s] = states[level_of[s]].size();
+    states[level_of[s]].push_back(s);
+  }
+  const auto level_block = [&](std::size_t l) {
+    const std::size_t b = states[l].size();
+    Matrix a(b, b);
+    for (std::size_t r = 0; r < b; ++r) {
+      const std::size_t u = states[l][r];
+      a(r, r) = -exit_rates[u];
+      for (std::size_t k = 0; k < rates.row_nnz(u); ++k) {
+        const std::size_t t = rates.row_cols(u)[k];
+        if (level_of[t] == l) a(r, local[t]) += rates.row_values(u)[k];
+      }
+    }
+    return a;
+  };
+  std::vector<ReferenceLevelFactor> up_factor(num_levels - 1);
+  Matrix s_block = level_block(num_levels - 1);
+  std::vector<bool> fold_marks(states[num_levels - 1].size(), false);
+  Vector rhs;
+  for (std::size_t l = num_levels - 1; l-- > 0;) {
+    const std::vector<std::size_t>& above = states[l + 1];
+    const std::size_t b = states[l].size();
+    const std::size_t b_up = above.size();
+    ReferenceLevelFactor& lf = up_factor[l];
+    for (std::size_t i = 0; i < b_up; ++i) {
+      if (!fold_marks[i]) lf.order.push_back(i);
+    }
+    for (std::size_t i = 0; i < b_up; ++i) {
+      if (fold_marks[i]) lf.order.push_back(i);
+    }
+    Matrix g(b_up, b_up);
+    for (std::size_t r = 0; r < b_up; ++r) {
+      for (std::size_t c = 0; c < b_up; ++c) {
+        g(r, c) = -s_block(lf.order[c], lf.order[r]);
+      }
+    }
+    lf.factor.emplace(std::move(g));
+    std::vector<std::vector<std::pair<std::size_t, double>>> c_cols(b);
+    for (std::size_t r2 = 0; r2 < b_up; ++r2) {
+      const std::size_t u2 = above[r2];
+      for (std::size_t k = 0; k < rates.row_nnz(u2); ++k) {
+        const std::size_t t = rates.row_cols(u2)[k];
+        if (level_of[t] == l) {
+          c_cols[local[t]].emplace_back(r2, rates.row_values(u2)[k]);
+        }
+      }
+    }
+    Matrix next = level_block(l);
+    for (std::size_t c = 0; c < b; ++c) {
+      if (c_cols[c].empty()) continue;
+      rhs.assign(b_up, 0.0);
+      for (const auto& [r2, w] : c_cols[c]) rhs[r2] += w;
+      const Vector x =
+          lf.unpermute(lf.factor->solve_transposed(lf.permute(rhs)));
+      for (std::size_t i = 0; i < b; ++i) {
+        const std::size_t u = states[l][i];
+        double acc = 0.0;
+        for (std::size_t k = 0; k < rates.row_nnz(u); ++k) {
+          const std::size_t t = rates.row_cols(u)[k];
+          if (level_of[t] == l + 1) {
+            acc += rates.row_values(u)[k] * x[local[t]];
+          }
+        }
+        next(i, c) += acc;
+      }
+    }
+    s_block = std::move(next);
+    fold_marks.assign(b, false);
+    for (std::size_t c = 0; c < b; ++c) {
+      if (!c_cols[c].empty()) fold_marks[c] = true;
+    }
+  }
+  const std::size_t b0 = states[0].size();
+  for (std::size_t r = 0; r < b0; ++r) {
+    for (std::size_t c = 0; c < b0; ++c) {
+      if (r != c && s_block(r, c) < 0.0) s_block(r, c) = 0.0;
+    }
+  }
+  Vector level_pi = gth_stationary(std::move(s_block));
+  Vector pi(n, 0.0);
+  for (std::size_t r = 0; r < b0; ++r) pi[states[0][r]] = level_pi[r];
+  for (std::size_t l = 0; l + 1 < num_levels; ++l) {
+    rhs.assign(states[l + 1].size(), 0.0);
+    for (std::size_t i = 0; i < states[l].size(); ++i) {
+      const std::size_t u = states[l][i];
+      for (std::size_t k = 0; k < rates.row_nnz(u); ++k) {
+        const std::size_t t = rates.row_cols(u)[k];
+        if (level_of[t] == l + 1) {
+          rhs[local[t]] += level_pi[i] * rates.row_values(u)[k];
+        }
+      }
+    }
+    const ReferenceLevelFactor& lf = up_factor[l];
+    level_pi = lf.unpermute(lf.factor->solve(lf.permute(rhs)));
+    for (double& v : level_pi) {
+      if (v < 0.0) v = 0.0;
+    }
+    for (std::size_t c = 0; c < states[l + 1].size(); ++c) {
+      pi[states[l + 1][c]] = level_pi[c];
+    }
+  }
+  normalize_probability(pi);
+  return pi;
+}
+
+/// Random level-structured chain: level sizes in [1, max_size] (every
+/// third level a single state), an up/down ladder through each level's
+/// first state, each state tied to its level's first state both ways, and
+/// random extra edges. `down_share` of a level's states receive
+/// down-transitions from the level above, so 1.0 fold-marks whole blocks
+/// and smaller shares mark them in part.
+SparseCtmc random_level_chain(std::mt19937_64& rng, std::size_t num_levels,
+                              std::size_t max_size, double down_share,
+                              std::vector<std::uint32_t>* level_of) {
+  std::uniform_real_distribution<double> rate(0.1, 2.0);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::vector<std::size_t> first;
+  level_of->clear();
+  for (std::size_t l = 0; l < num_levels; ++l) {
+    const std::size_t size = l % 3 == 1 ? 1 : 1 + rng() % max_size;
+    first.push_back(level_of->size());
+    for (std::size_t b = 0; b < size; ++b) {
+      level_of->push_back(static_cast<std::uint32_t>(l));
+    }
+  }
+  first.push_back(level_of->size());
+  const std::size_t n = level_of->size();
+  SparseCtmc chain(n);
+  for (std::size_t l = 0; l + 1 < num_levels; ++l) {
+    chain.add_rate(first[l], first[l + 1], rate(rng));
+    chain.add_rate(first[l + 1], first[l], rate(rng));
+  }
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::uint32_t l = (*level_of)[s];
+    if (s != first[l]) {
+      chain.add_rate(s, first[l], rate(rng));
+      chain.add_rate(first[l], s, rate(rng));
+    }
+    // Within-level neighbours (a band) plus sparse jumps up and down.
+    if (s + 1 < first[l + 1] && unit(rng) < 0.7) {
+      chain.add_rate(s, s + 1, rate(rng));
+    }
+    if (l + 1 < num_levels && unit(rng) < 0.3) {
+      const std::size_t up =
+          first[l + 1] + rng() % (first[l + 2] - first[l + 1]);
+      chain.add_rate(s, up, rate(rng));
+    }
+    if (l > 0 && s != first[l] && unit(rng) < down_share) {
+      const std::size_t below = first[l] - first[l - 1];
+      chain.add_rate(s, first[l - 1] + (s - first[l]) % below, rate(rng));
+    }
+  }
+  chain.freeze();
+  return chain;
+}
+
+void expect_bitwise_equal(const Vector& ref, const Vector& got,
+                          const std::string& what) {
+  ASSERT_EQ(ref.size(), got.size()) << what;
+  for (std::size_t s = 0; s < ref.size(); ++s) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(ref[s]),
+              std::bit_cast<std::uint64_t>(got[s]))
+        << what << " state " << s << ": " << ref[s] << " vs " << got[s];
+  }
+}
+
+TEST(BlockSolver, KernelBitwiseMatchesPerColumnReference) {
+  std::mt19937_64 rng(20261018);
+  for (int trial = 0; trial < 24; ++trial) {
+    const std::size_t num_levels = 2 + trial % 7;
+    const double down_share = trial % 3 == 0 ? 1.0 : 0.15 * (1 + trial % 4);
+    std::vector<std::uint32_t> level_of;
+    const SparseCtmc chain =
+        random_level_chain(rng, num_levels, 40, down_share, &level_of);
+    expect_bitwise_equal(
+        reference_block_stationary(chain.rate_matrix(), chain.exit_rates(),
+                                   level_of),
+        block_tridiagonal_stationary(chain, level_of, nullptr),
+        "random trial " + std::to_string(trial));
+  }
+
+  // The exact backend's own chains: exponential IF, EF and FairShare, and
+  // the Erlang-3 phase-augmented IF chain.
+  const SystemParams p = SystemParams::from_load(4, 1.0, 1.3, 0.8);
+  ExactCtmcOptions opt;
+  opt.imax = opt.jmax = 24;
+  const InelasticFirst inelastic_first;
+  const ElasticFirst elastic_first;
+  const FairShare fair_share;
+  for (const AllocationPolicy* policy :
+       {static_cast<const AllocationPolicy*>(&inelastic_first),
+        static_cast<const AllocationPolicy*>(&elastic_first),
+        static_cast<const AllocationPolicy*>(&fair_share)}) {
+    const ExactChain c = ExactCtmcBatch(p, opt).chain(*policy);
+    expect_bitwise_equal(
+        reference_block_stationary(c.rates, c.exit_rates, c.level_of),
+        block_tridiagonal_stationary(c.rates, c.exit_rates, c.level_of),
+        policy->name());
+  }
+  opt.imax = opt.jmax = 8;
+  const ExactChain erlang = exact_chain_ph(
+      p, inelastic_first, SizeDistSpec::parse("erlang:3").compile(p.mu_i),
+      opt);
+  expect_bitwise_equal(reference_block_stationary(erlang.rates,
+                                                  erlang.exit_rates,
+                                                  erlang.level_of),
+                       block_tridiagonal_stationary(
+                           erlang.rates, erlang.exit_rates, erlang.level_of),
+                       "erlang:3 IF");
+}
+
+#if !defined(ESCHED_DEBUG_INVARIANTS)
+TEST(BlockSolver, KernelBitwiseMatchesReferenceWhenPivoting) {
+  // Partial pivoting never swaps rows on a conservative generator: (-S)^T
+  // is column diagonally dominant. Exit rates well below the row sums
+  // break the dominance so the row swaps (and the rescan of L they force)
+  // run. The invariant build rejects such input at the solver boundary.
+  std::mt19937_64 rng(7);
+  for (int trial = 0; trial < 8; ++trial) {
+    std::vector<std::uint32_t> level_of;
+    const SparseCtmc chain =
+        random_level_chain(rng, 4, 12, trial % 2 == 0 ? 1.0 : 0.4, &level_of);
+    Vector exit = chain.exit_rates();
+    for (double& e : exit) e *= 0.3;
+    expect_bitwise_equal(
+        reference_block_stationary(chain.rate_matrix(), exit, level_of),
+        block_tridiagonal_stationary(chain.rate_matrix(), exit, level_of),
+        "pivoting trial " + std::to_string(trial));
+  }
+}
+#endif
 
 }  // namespace
 }  // namespace esched
