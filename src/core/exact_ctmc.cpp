@@ -31,9 +31,21 @@ std::size_t state_index(long i, long j, long nj) {
   return static_cast<std::size_t>(i * nj + j);
 }
 
+/// Auto uses dense GTH elimination up to this many states.
+constexpr std::size_t kGthStateLimit = 500;
+
 /// Explicit method = gth densifies the generator; past this it is a
 /// request for O(n^2) memory and O(n^3) time that block/SOR do better.
 constexpr std::size_t kDenseGthLimit = 5000;
+
+/// Workspace cap for the block solver (see block_solver_workspace_bytes):
+/// auto falls back to SOR above it; an explicit block request throws.
+constexpr std::size_t kBlockMemoryLimit = std::size_t{4} << 30;
+
+/// SOR's stopping residual, sweep budget and relaxation factor.
+constexpr double kSorTol = 1e-12;
+constexpr int kSorMaxIters = 200000;
+constexpr double kSorOmega = 1.0;
 
 /// Auto's cost model, in seconds of stationary solve. Block elimination
 /// pays for its flops and for streaming its factor workspace. SOR pays per
@@ -70,7 +82,7 @@ ExactCostPrediction predict_cost(const CsrMatrix& rates,
 /// Runs the stationary solve with the selected (or auto-chosen) method,
 /// recording per-method solve-time / state-count metrics. `level_of` may
 /// be empty when the chain has no usable level structure. Above
-/// gth_state_limit `prediction` receives auto's evidence (for every
+/// kGthStateLimit `prediction` receives auto's evidence (for every
 /// method); an auto solve also records its actual / predicted ratio in
 /// the metrics and on the caller's open trace span.
 std::pair<Vector, StationarySolveInfo> solve_stationary(
@@ -79,15 +91,15 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
     const ExactCtmcOptions& options, ExactCostPrediction* prediction) {
   const std::size_t n = rates.rows();
   const bool auto_selected = options.method == StationaryMethod::kAuto;
-  const bool predicted = n > options.gth_state_limit && !level_of.empty();
+  const bool predicted = n > kGthStateLimit && !level_of.empty();
   if (predicted) *prediction = predict_cost(rates, level_of);
   StationaryMethod method = options.method;
   if (auto_selected) {
-    if (n <= options.gth_state_limit) {
+    if (n <= kGthStateLimit) {
       method = StationaryMethod::kGth;
     } else if (predicted &&
                prediction->workspace_bytes <=
-                   static_cast<double>(options.block_memory_limit) &&
+                   static_cast<double>(kBlockMemoryLimit) &&
                prediction->block_seconds <= prediction->sor_seconds) {
       method = StationaryMethod::kBlock;
     } else {
@@ -100,10 +112,11 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
   Vector pi;
   StationarySolveInfo solve_info;
   const auto run_sor = [&] {
-    pi = sor_stationary(rates, exit_rates, options.sor_tol,
-                        options.sor_max_iters, options.sor_omega, &solve_info);
+    pi = sor_stationary(rates, exit_rates, kSorTol, kSorMaxIters, kSorOmega,
+                        &solve_info);
     ESCHED_CHECK(solve_info.converged,
-                 "SOR did not converge; increase iterations or loosen tol");
+                 "SOR did not converge in " + std::to_string(kSorMaxIters) +
+                     " sweeps");
   };
   switch (method) {
     case StationaryMethod::kGth:
@@ -123,12 +136,12 @@ std::pair<Vector, StationarySolveInfo> solve_stationary(
       ESCHED_CHECK(!level_of.empty(),
                    "method 'block' needs a level-structured chain");
       ESCHED_CHECK(
-          block_solver_workspace_bytes(level_of) <= options.block_memory_limit,
+          block_solver_workspace_bytes(level_of) <= kBlockMemoryLimit,
           "method 'block' would need " +
               std::to_string(block_solver_workspace_bytes(level_of)) +
               " workspace bytes, over the " +
-              std::to_string(options.block_memory_limit) +
-              "-byte limit (raise block_memory_limit or use 'sor')");
+              std::to_string(kBlockMemoryLimit) +
+              "-byte limit (use method 'sor')");
       if (auto_selected) {
         // Some policies (e.g. idling variants) leave a level with no
         // down-transitions, which the direct elimination rejects; those

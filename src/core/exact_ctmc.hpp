@@ -24,29 +24,21 @@ namespace esched {
 struct ExactCtmcOptions {
   long imax = 120;  ///< inelastic truncation level
   long jmax = 120;  ///< elastic truncation level
-  /// Stationary-solver selection. kAuto keeps dense GTH up to
-  /// gth_state_limit states; above it, it predicts the seconds of the
-  /// block-tridiagonal direct solver and of SOR from the built chain (see
-  /// ExactCostPrediction) and takes the cheaper one, never block when its
-  /// factors would exceed block_memory_limit bytes. The choice is a pure
-  /// function of the chain, so it never depends on timing or threads.
+  /// Stationary-solver selection. kAuto keeps dense GTH up to 500 states;
+  /// above that, it predicts the seconds of the block-tridiagonal direct
+  /// solver and of SOR from the built chain (see ExactCostPrediction) and
+  /// takes the cheaper one, never block when its factors would exceed
+  /// 4 GiB of workspace (an explicit kBlock request throws there
+  /// instead). GTH and block are direct; SOR iterates to a 1e-12
+  /// residual. The choice is a pure function of the chain, so it never
+  /// depends on timing or threads.
   StationaryMethod method = StationaryMethod::kAuto;
-  /// Use dense GTH elimination when the state count is at most this (and
-  /// method is kAuto). GTH is direct; SOR iterates to `sor_tol`.
-  std::size_t gth_state_limit = 500;
-  double sor_tol = 1e-12;
-  int sor_max_iters = 200000;
-  double sor_omega = 1.0;
-  /// Workspace cap for the block solver (see
-  /// block_solver_workspace_bytes). kAuto falls back to SOR above it; an
-  /// explicit kBlock request throws instead.
-  std::size_t block_memory_limit = std::size_t{4} << 30;
 };
 
-/// Auto's evidence for one chain above gth_state_limit: the features its
-/// cost model reads and the stationary-solve seconds it predicts for each
-/// method. Filled for every method (the bench fits the model from forced
-/// runs); all zero for chains at or under gth_state_limit.
+/// Auto's evidence for one chain above the 500-state GTH limit: the
+/// features its cost model reads and the stationary-solve seconds it
+/// predicts for each method. Filled for every method (the bench fits the
+/// model from forced runs); all zero for chains at or under the limit.
 struct ExactCostPrediction {
   double flop_estimate = 0.0;    ///< block_solver_flop_estimate
   double workspace_bytes = 0.0;  ///< block_solver_workspace_bytes

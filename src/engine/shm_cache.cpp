@@ -505,66 +505,25 @@ ShmTableInfo ShmResultCache::info() const {
   return info;
 }
 
-std::vector<std::string> ShmResultCache::list_keys() const {
+std::vector<ShmResultCache::Entry> ShmResultCache::scan(
+    std::uint64_t* wedged_slots) const {
   const std::uint64_t payload_bytes = run_result_packed_bytes();
   const std::uint64_t key_off = key_offset_in_slot();
-  struct Row {
-    std::uint64_t seq;
-    std::string key;
-  };
-  std::vector<Row> rows;
+  std::vector<Entry> entries;
+  std::uint64_t wedged = 0;
   for (std::uint64_t i = 0; i < slot_count_; ++i) {
     unsigned char* slot = slot_ptr(i);
     const std::uint64_t state =
         as_atomic_u64(slot + kSlotState).load(std::memory_order_acquire);
-    if (state != kStateValid) continue;
+    if (state != kStateValid) {
+      if (state != kStateEmpty) ++wedged;
+      continue;
+    }
     const std::uint64_t key_len = read_u64(slot + kSlotKeyLen);
     if (key_len > slot_key_capacity()) continue;
     const std::uint64_t expected = entry_checksum(
         key_len, slot + key_off, slot + kSlotPayload, payload_bytes);
     if (read_u64(slot + kSlotChecksum) != expected) continue;  // corrupt
-    Row row;
-    row.seq = read_u64(slot + kSlotSeq);
-    row.key.assign(reinterpret_cast<const char*>(slot + key_off), key_len);
-    rows.push_back(std::move(row));
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.seq != b.seq) return a.seq < b.seq;  // oldest store first
-    return a.key < b.key;
-  });
-  std::vector<std::string> keys;
-  keys.reserve(rows.size());
-  for (Row& row : rows) keys.push_back(std::move(row.key));
-  return keys;
-}
-
-CacheGcResult ShmResultCache::compact(std::uint64_t keep_newest) {
-#if !ESCHED_SHM_CACHE_POSIX
-  (void)keep_newest;
-  return {};
-#else
-  ShmMetrics& metrics = shm_metrics();
-  const std::uint64_t payload_bytes = run_result_packed_bytes();
-  const std::uint64_t key_off = key_offset_in_slot();
-  // Snapshot the survivors: every valid, checksum-clean entry, newest
-  // (highest store seq) preferred. Wedged and corrupt slots never survive
-  // a rebuild — that is the point of compaction.
-  struct Entry {
-    std::uint64_t seq;
-    std::string key;
-    std::vector<unsigned char> payload;
-  };
-  std::vector<Entry> entries;
-  for (std::uint64_t i = 0; i < slot_count_; ++i) {
-    unsigned char* slot = slot_ptr(i);
-    const std::uint64_t state =
-        as_atomic_u64(slot + kSlotState).load(std::memory_order_acquire);
-    if (state != kStateValid) continue;
-    const std::uint64_t key_len = read_u64(slot + kSlotKeyLen);
-    if (key_len > slot_key_capacity()) continue;
-    const std::uint64_t expected = entry_checksum(
-        key_len, slot + key_off, slot + kSlotPayload, payload_bytes);
-    if (read_u64(slot + kSlotChecksum) != expected) continue;
     Entry entry;
     entry.seq = read_u64(slot + kSlotSeq);
     entry.key.assign(reinterpret_cast<const char*>(slot + key_off), key_len);
@@ -574,9 +533,35 @@ CacheGcResult ShmResultCache::compact(std::uint64_t keep_newest) {
   }
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) {
-              if (a.seq != b.seq) return a.seq < b.seq;
+              if (a.seq != b.seq) return a.seq < b.seq;  // oldest first
               return a.key < b.key;
             });
+  if (wedged_slots != nullptr) *wedged_slots = wedged;
+  return entries;
+}
+
+std::vector<std::string> ShmResultCache::list_keys() const {
+  std::vector<std::string> keys;
+  for (Entry& entry : scan()) keys.push_back(std::move(entry.key));
+  return keys;
+}
+
+CacheGcResult ShmResultCache::compact(std::uint64_t keep_newest) {
+  return rebuild(scan(), keep_newest);
+}
+
+CacheGcResult ShmResultCache::rebuild(std::vector<Entry> entries,
+                                      std::uint64_t keep_newest) {
+#if !ESCHED_SHM_CACHE_POSIX
+  (void)entries;
+  (void)keep_newest;
+  return {};
+#else
+  ShmMetrics& metrics = shm_metrics();
+  const std::uint64_t payload_bytes = run_result_packed_bytes();
+  const std::uint64_t key_off = key_offset_in_slot();
+  // The survivors are the newest entries of the scan. Wedged and corrupt
+  // slots never survive a rebuild — that is the point of compaction.
   const std::size_t keep =
       std::min<std::size_t>(entries.size(), keep_newest);
   const std::size_t dropped = entries.size() - keep;
@@ -652,16 +637,18 @@ CacheGcResult ShmResultCache::gc(std::optional<std::uintmax_t> max_bytes) {
     if (age > kTmpStaleSeconds) fs::remove(it->path(), tmp_ec);
   }
 
-  // Without a budget nothing is evicted — not even entries a live writer
-  // stores between this count and the rebuild's snapshot — and only
-  // wedged slots force a rebuild.
+  // Without a budget nothing is evicted and only wedged slots force a
+  // rebuild. One scan serves both the decision and the rebuild.
   const std::uint64_t keep = max_bytes.has_value()
                                  ? *max_bytes / kSlotBytes
                                  : std::numeric_limits<std::uint64_t>::max();
-  const std::size_t live = list_keys().size();
-  if (keep < live || info().wedged_slots > 0) return compact(keep);
+  std::uint64_t wedged = 0;
+  std::vector<Entry> entries = scan(&wedged);
+  if (keep < entries.size() || wedged > 0) {
+    return rebuild(std::move(entries), keep);
+  }
   CacheGcResult result;
-  result.kept = live;
+  result.kept = entries.size();
   return result;
 }
 

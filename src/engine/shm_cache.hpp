@@ -148,6 +148,19 @@ class ShmResultCache {
   unsigned char* slot_ptr(std::uint64_t index) const;
   void unmap();
 
+  /// A published entry whose checksum verified.
+  struct Entry {
+    std::uint64_t seq;  ///< store sequence number
+    std::string key;
+    std::vector<unsigned char> payload;
+  };
+  /// One pass over the slots: every published, checksum-clean entry,
+  /// oldest store first. `wedged_slots`, when given, receives the count of
+  /// slots that are neither empty nor published.
+  std::vector<Entry> scan(std::uint64_t* wedged_slots = nullptr) const;
+  /// compact() on an existing scan.
+  CacheGcResult rebuild(std::vector<Entry> entries, std::uint64_t keep_newest);
+
   std::string path_;
   unsigned char* base_ = nullptr;  ///< mmap base (header at offset 0)
   std::uint64_t mapped_bytes_ = 0;

@@ -2,10 +2,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
-#include "common/numeric.hpp"
 #include "engine/shm_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -59,43 +59,6 @@ RunResult cached_copy(const RunResult& result) {
 
 }  // namespace
 
-ResultCache::Shard& ResultCache::shard_for(const std::string& key) const {
-  // Same hash family as the disk tier's file names and the mmap table's
-  // home slots; the shard index is a pure function of the key, so layout
-  // never depends on insertion (i.e. scheduling) order.
-  return shards_[fnv1a64(key) & (kShardCount - 1)];
-}
-
-std::optional<RunResult> ResultCache::lookup(const std::string& key) const {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  const auto it = shard.results.find(key);
-  if (it == shard.results.end()) return std::nullopt;
-  return it->second;
-}
-
-void ResultCache::insert(const std::string& key, const RunResult& result) {
-  Shard& shard = shard_for(key);
-  std::lock_guard<std::mutex> lock(shard.mutex);
-  shard.results.insert_or_assign(key, result);
-}
-
-std::size_t ResultCache::size() const {
-  std::size_t total = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    total += shard.results.size();
-  }
-  return total;
-}
-
-void ResultCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.results.clear();
-  }
-}
-
 SweepRunner::SweepRunner(int num_threads) : num_threads_(num_threads) {
   ESCHED_CHECK(num_threads >= 0, "thread count must be >= 0");
   if (num_threads_ == 0) {
@@ -133,49 +96,51 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
                                        {"threads", num_threads_}});
   const std::uint64_t sweep_span_id = sweep_span.id();
 
-  // Deduplicate: first occurrence of each uncached key becomes a job, so a
-  // point repeated across figure axes solves exactly once. Memory misses
+  // Deduplicate: first occurrence of each unmemoized key becomes a job, so
+  // a point repeated across figure axes solves exactly once. Memo misses
   // consult the disk cache before becoming jobs. Points resolvable right
   // now (memo/disk hits) fire on_row immediately — delivered as
   // cached_copy, since their solve cost was paid earlier — while the rest
-  // register as waiters on their key and fire when the one solve of that
-  // key lands.
+  // join their key's job and fire when its one solve lands.
   std::vector<std::string> keys;
   keys.reserve(points.size());
+  std::vector<RunResult> results(points.size());
   std::vector<std::size_t> jobs;  // indices into `points` to solve now
-  std::unordered_map<std::string, std::size_t> seen;
-  std::unordered_map<std::string, std::vector<std::size_t>> waiters;
+  // Input indices of each job's key: the job's own index, then the
+  // in-call duplicates.
+  std::unordered_map<std::string, std::vector<std::size_t>> job_indices;
   std::size_t disk_hits = 0;
   for (std::size_t n = 0; n < points.size(); ++n) {
     keys.push_back(points[n].cache_key());
-    if (seen.count(keys.back()) != 0) {
+    const std::string& key = keys.back();
+    if (auto job = job_indices.find(key); job != job_indices.end()) {
       metrics.dup_points.add();
-      if (on_row != nullptr) waiters[keys.back()].push_back(n);
+      job->second.push_back(n);
       continue;
     }
-    if (auto memoized = cache_.lookup(keys.back())) {
+    auto hit = memo_.find(key);
+    if (hit != memo_.end()) {
       metrics.memo_hits.add();
       if (TraceWriter* t = global_trace()) {
         t->event("cache_hit", {{"index", n}});
       }
-      if (on_row != nullptr) on_row(n, points[n], cached_copy(*memoized));
-      continue;
-    }
-    if (disk_cache_ != nullptr) {
-      if (auto loaded = disk_cache_->load(keys.back())) {
-        cache_.insert(keys.back(), *loaded);
+    } else if (disk_cache_ != nullptr) {
+      if (auto loaded = disk_cache_->load(key)) {
+        hit = memo_.emplace(key, *loaded).first;
         ++disk_hits;
         metrics.disk_hits.add();
         if (TraceWriter* t = global_trace()) {
           t->event("disk_hit", {{"index", n}});
         }
-        if (on_row != nullptr) on_row(n, points[n], cached_copy(*loaded));
-        continue;
       }
     }
-    seen.emplace(keys.back(), n);
+    if (hit != memo_.end()) {
+      results[n] = cached_copy(hit->second);
+      if (on_row != nullptr) on_row(n, points[n], results[n]);
+      continue;
+    }
+    job_indices[key].push_back(n);
     jobs.push_back(n);
-    if (on_row != nullptr) waiters[keys.back()].push_back(n);
   }
 
   // Fan the jobs over the pool via an atomic work index, in input order.
@@ -198,8 +163,14 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
   };
   std::mutex callback_mutex;
   bool callback_failed = false;  // guarded by callback_mutex
-  const auto store = [&](std::size_t n, const RunResult& result) {
-    cache_.insert(keys[n], result);
+  // Each job writes only its own slots: results[n] and solved[j]. The memo
+  // stays on the calling thread; the disk table takes each result as it
+  // lands, so a killed run keeps its solves.
+  std::vector<char> solved(jobs.size(), 0);
+  const auto store = [&](std::size_t j, const RunResult& result) {
+    const std::size_t n = jobs[j];
+    results[n] = result;
+    solved[j] = 1;
     if (disk_cache_ != nullptr) disk_cache_->store(keys[n], result);
     metrics.points_solved.add();
     metrics.point_seconds.record(result.solve_seconds);
@@ -217,18 +188,15 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     // resume mismatch) fails the whole run with its own message — and
     // ends all further delivery, so a consumer that rejected one row is
     // never handed more — while workers keep solving into the caches.
-    // The solving index itself (always the first waiter) sees the fresh
-    // result; duplicate indices see a cached_copy, matching the
-    // provenance reported on the returned vector.
+    // The solving index itself (always the first) sees the fresh result;
+    // duplicate indices see a cached_copy, matching the provenance
+    // reported on the returned vector.
     std::lock_guard<std::mutex> lock(callback_mutex);
     if (callback_failed) return;
     try {
-      for (const std::size_t waiter : waiters[keys[n]]) {
-        if (waiter == n) {
-          on_row(waiter, points[waiter], result);
-        } else {
-          on_row(waiter, points[waiter], cached_copy(result));
-        }
+      for (const std::size_t index : job_indices.at(keys[n])) {
+        on_row(index, points[index],
+               index == n ? result : cached_copy(result));
       }
     } catch (const std::exception& e) {
       callback_failed = true;
@@ -265,7 +233,7 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
               "solve", {{"solver", solver_name(points[n].solver)}});
           return dispatch_run(points[n]);
         }();
-        store(n, result);
+        store(j, result);
       } catch (const std::exception& e) {
         record_error(keys[n], e.what());
       }
@@ -295,34 +263,22 @@ std::vector<RunResult> SweepRunner::run(const std::vector<RunPoint>& points,
     for (int t = 0; t < pool_size; ++t) pool.emplace_back(worker);
     for (auto& thread : pool) thread.join();
   }
-  if (!first_error.empty()) throw Error(first_error);
 
-  std::vector<RunResult> results;
-  results.reserve(points.size());
-  std::unordered_map<std::string, bool> solved_now;
-  for (const std::size_t n : jobs) solved_now.emplace(keys[n], true);
-  std::size_t cache_hits = 0;
+  // Memoize every fresh result — those of a failed run too, so a rerun
+  // solves only what is missing — and hand its in-call duplicates a
+  // cached_copy. Sum solve seconds in input order, as on one thread.
   double solve_seconds_total = 0.0;
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    auto cached = cache_.lookup(keys[n]);
-    ESCHED_ASSERT(cached.has_value(), "sweep result missing from cache");
-    RunResult result = *cached;
-    // The first solve of a point this call is fresh; everything else —
-    // intra-call duplicates, prior-call results, disk loads — is a cache
-    // hit, and reports ~zero solve_seconds: the cached entry's recorded
-    // time was paid by the original solve, and repeating it would inflate
-    // cache-effectiveness numbers and ETAs downstream.
-    const auto it = solved_now.find(keys[n]);
-    result.from_cache = it == solved_now.end() || !it->second;
-    if (it != solved_now.end()) it->second = false;
-    if (result.from_cache) {
-      ++cache_hits;
-      result.solve_seconds = 0.0;
-    } else {
-      solve_seconds_total += result.solve_seconds;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    if (solved[j] == 0) continue;
+    const std::size_t n = jobs[j];
+    memo_.emplace(keys[n], results[n]);
+    solve_seconds_total += results[n].solve_seconds;
+    for (const std::size_t index : job_indices.at(keys[n])) {
+      if (index != n) results[index] = cached_copy(results[n]);
     }
-    results.push_back(result);
   }
+  if (!first_error.empty()) throw Error(first_error);
+  const std::size_t cache_hits = points.size() - jobs.size();
 
   const double wall_seconds = seconds_since_start();
   metrics.run_seconds.record(wall_seconds);

@@ -2,21 +2,18 @@
 //
 // The runner takes a flat list of RunPoints (typically Scenario::expand()),
 // deduplicates them by cache key, solves the missing unique points on a
-// std::thread worker pool, and returns results in input order. A
-// mutex-guarded cache persists across run() calls, so repeated points —
-// e.g. shared rho-axis baselines across figures — solve exactly once per
-// process; an optional disk cache (set_cache_dir) extends that across
-// processes and CLI invocations. Every unique point is its own job.
-// Results are deterministic in the thread count: each point's solve is
-// pure and its RNG seed derives from its cache key, never from scheduling
-// order.
+// std::thread worker pool, and returns results in input order. A memo
+// that only the calling thread touches persists across run() calls, so
+// repeated points — e.g. shared rho-axis baselines across figures — solve
+// exactly once per process; an optional disk cache (set_cache_dir)
+// extends that across processes and CLI invocations. Every unique point is
+// its own job. Results are deterministic in the thread count: each point's
+// solve is pure and its RNG seed derives from its cache key, never from
+// scheduling order.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -26,32 +23,6 @@
 namespace esched {
 
 class ShmResultCache;
-
-/// Thread-safe memoization cache keyed on RunPoint::cache_key(), sharded
-/// by key hash so a high-thread warm rerun (every point a memo hit) does
-/// not serialize every worker on one mutex. Sharding is invisible to
-/// callers: which shard holds a key depends only on the key, so contents
-/// — and therefore sweep results — are bitwise identical at any thread
-/// count.
-class ResultCache {
- public:
-  std::optional<RunResult> lookup(const std::string& key) const;
-  void insert(const std::string& key, const RunResult& result);
-  std::size_t size() const;
-  void clear();
-
- private:
-  static constexpr std::size_t kShardCount = 16;  // power of two
-
-  struct alignas(64) Shard {  // own cache line: no false sharing of locks
-    mutable std::mutex mutex;
-    std::unordered_map<std::string, RunResult> results;
-  };
-
-  Shard& shard_for(const std::string& key) const;
-
-  mutable std::array<Shard, kShardCount> shards_;
-};
 
 /// Bookkeeping for one run() call.
 struct SweepStats {
@@ -91,12 +62,13 @@ class SweepRunner {
 
   /// Solves every point (consulting/filling the caches) and returns
   /// results in input order. `from_cache` is set (and solve_seconds
-  /// zeroed) on results that were memoized — including intra-call
-  /// duplicates, which solve once. If any
-  /// point's solve throws, the first error is re-thrown after all workers
-  /// join; successfully solved points stay cached — and have already been
-  /// delivered to `on_row`, which is what makes an interrupted streaming
-  /// run resumable.
+  /// zeroed) on every result but the first solve of each key this call:
+  /// memo and disk hits and intra-call duplicates, which solve once. If
+  /// any point's solve throws, the first error is re-thrown after all
+  /// workers join; successfully solved points stay memoized — and have
+  /// already been delivered to `on_row`, which is what makes an
+  /// interrupted streaming run resumable. Not reentrant: call it from one
+  /// thread at a time (the memo has no lock; pool workers never touch it).
   std::vector<RunResult> run(const std::vector<RunPoint>& points,
                              SweepStats* stats = nullptr,
                              const RowCallback& on_row = nullptr);
@@ -110,12 +82,12 @@ class SweepRunner {
   void set_cache_dir(const std::string& directory);
 
   int num_threads() const { return num_threads_; }
-  ResultCache& cache() { return cache_; }
-  const ResultCache& cache() const { return cache_; }
+  /// Distinct keys memoized so far.
+  std::size_t memo_size() const { return memo_.size(); }
 
  private:
   int num_threads_;
-  ResultCache cache_;
+  std::unordered_map<std::string, RunResult> memo_;  // keyed on cache_key()
   std::unique_ptr<ShmResultCache> disk_cache_;
 };
 

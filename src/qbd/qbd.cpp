@@ -9,6 +9,11 @@ namespace esched {
 
 namespace {
 
+/// R's fixed-point iteration stops when no entry moves by this much, or
+/// after kMaxRIterations steps.
+constexpr double kRTolerance = 1e-14;
+constexpr int kMaxRIterations = 200000;
+
 void check_nonnegative(const Matrix& m, const char* what) {
   for (std::size_t r = 0; r < m.rows(); ++r) {
     for (std::size_t c = 0; c < m.cols(); ++c) {
@@ -93,7 +98,7 @@ void QbdProcess::validate() const {
   check_nonnegative(rep_down, "rep_down");
 }
 
-QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options) {
+QbdSolution solve_qbd(const QbdProcess& process) {
   process.validate();
   const std::size_t m = process.num_phases;
   const std::size_t big_l = process.first_repeating;  // L
@@ -118,14 +123,14 @@ QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options) {
   }();
   Matrix r(m, m, 0.0);
   int iterations = 0;
-  for (; iterations < options.max_r_iterations; ++iterations) {
+  for (; iterations < kMaxRIterations; ++iterations) {
     // R_next = -(A0 + R^2 A2) A1^{-1} = neg_a0_a1inv + R^2 (-A2) A1^{-1}.
     Matrix r2a2 = matmul(matmul(r, r), a2);
     r2a2 *= -1.0;
     Matrix r_next = neg_a0_a1inv + right_div_a1(std::move(r2a2));
     const double delta = max_abs_diff(r_next, r);
     r = std::move(r_next);
-    if (delta < options.r_tolerance) break;
+    if (delta < kRTolerance) break;
   }
   // Residual of the quadratic equation as a convergence certificate.
   const Matrix residual_mat =

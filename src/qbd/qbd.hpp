@@ -45,12 +45,6 @@ struct QbdProcess {
   void validate() const;
 };
 
-/// Solver tuning knobs.
-struct QbdOptions {
-  double r_tolerance = 1e-14;  // max-abs change in R between iterations
-  int max_r_iterations = 200000;
-};
-
 /// Stationary solution of a QBD.
 struct QbdSolution {
   /// pi_0..pi_L where L = first_repeating; levels beyond L follow
@@ -78,8 +72,9 @@ struct QbdSolution {
   Vector phase_marginal() const;
 };
 
-/// Solves the QBD: iterates R, then solves the finite boundary system with
-/// the normalization sum_l pi_l 1 = 1 (geometric tail folded in).
-QbdSolution solve_qbd(const QbdProcess& process, const QbdOptions& options = {});
+/// Solves the QBD: iterates R until its max-abs change drops below 1e-14,
+/// then solves the finite boundary system with the normalization
+/// sum_l pi_l 1 = 1 (geometric tail folded in).
+QbdSolution solve_qbd(const QbdProcess& process);
 
 }  // namespace esched

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -17,6 +18,7 @@
 #include "engine/scenario.hpp"
 #include "engine/solver_dispatch.hpp"
 #include "engine/sweep_runner.hpp"
+#include "obs/metrics.hpp"
 #include "queueing/mmk.hpp"
 
 namespace esched {
@@ -198,8 +200,9 @@ TEST(Dispatch, ExactMatchesDirectSolveAndReportsSolveInfo) {
       solve_exact_ctmc(p, *make_fair_share(), options);
   EXPECT_DOUBLE_EQ(result.mean_response_time, direct.mean_response_time);
   EXPECT_DOUBLE_EQ(result.boundary_mass, direct.boundary_mass);
-  // 41x41 states > gth_state_limit, so auto picks the direct block solver:
-  // no sweeps, and the residual still surfaces through the result.
+  // 41x41 states > the 500-state GTH limit, so auto picks the direct
+  // block solver: no sweeps, and the residual still surfaces through the
+  // result.
   EXPECT_EQ(direct.solve_info.method, "block");
   EXPECT_EQ(result.solver_iterations, 0);
   EXPECT_LT(result.solve_residual, 1e-11);
@@ -209,7 +212,7 @@ TEST(Dispatch, ExactMatchesDirectSolveAndReportsSolveInfo) {
 TEST(Dispatch, GthPathReportsConvergedSolveInfo) {
   const SystemParams p = SystemParams::from_load(2, 1.0, 1.0, 0.5);
   ExactCtmcOptions options;
-  options.imax = options.jmax = 15;  // 256 states <= gth_state_limit
+  options.imax = options.jmax = 15;  // 256 states <= the 500-state GTH limit
   const ExactCtmcResult direct =
       solve_exact_ctmc(p, *make_inelastic_first(), options);
   EXPECT_TRUE(direct.solve_info.converged);
@@ -256,7 +259,7 @@ TEST(SweepRunner, CacheHitsWithinAndAcrossRuns) {
   EXPECT_EQ(stats.total_points, 2 * unique);
   EXPECT_EQ(stats.solved_points, unique);
   EXPECT_EQ(stats.cache_hits, unique);
-  EXPECT_EQ(runner.cache().size(), unique);
+  EXPECT_EQ(runner.memo_size(), unique);
   for (std::size_t n = 0; n < unique; ++n) {
     EXPECT_FALSE(first[n].from_cache);
     EXPECT_TRUE(first[n + unique].from_cache);
@@ -307,7 +310,7 @@ TEST(SweepRunner, PropagatesSolverErrors) {
   SweepRunner runner(2);
   EXPECT_THROW(runner.run(points), Error);
   // The valid point still landed in the cache.
-  EXPECT_EQ(runner.cache().size(), 1u);
+  EXPECT_EQ(runner.memo_size(), 1u);
 }
 
 TEST(Dispatch, TraceDominanceReportsNoViolationsForFamily) {
@@ -447,6 +450,144 @@ TEST(SweepRunner, DiskCachePersistsAcrossRunners) {
         << points[n].cache_key();
   }
   std::filesystem::remove_all(dir);
+}
+
+/// The sweep.* counters of the global registry, relative to a baseline
+/// taken at construction.
+class SweepCounters {
+ public:
+  SweepCounters() : before_(global_metrics().snapshot()) {}
+  std::uint64_t delta(const std::string& name) const {
+    const std::string full = "sweep." + name;
+    return global_metrics().snapshot().counter_value(full) -
+           before_.counter_value(full);
+  }
+
+ private:
+  MetricsSnapshot before_;
+};
+
+/// Runs `points` and checks the row contract: on_row fires exactly once
+/// per index with that index's point; indices in `fresh` arrive solved
+/// now (from_cache false, real solve_seconds), every other index as a
+/// cache-served copy (from_cache true, solve_seconds 0); and the returned
+/// vector is exactly what on_row delivered.
+std::vector<RunResult> run_checking_rows(SweepRunner& runner,
+                                         const std::vector<RunPoint>& points,
+                                         const std::set<std::size_t>& fresh,
+                                         SweepStats* stats) {
+  std::vector<int> calls(points.size(), 0);
+  std::vector<RunResult> delivered(points.size());
+  const auto results = runner.run(
+      points, stats,
+      [&](std::size_t n, const RunPoint& point, const RunResult& result) {
+        ++calls.at(n);
+        EXPECT_EQ(point.cache_key(), points[n].cache_key());
+        delivered[n] = result;
+      });
+  EXPECT_EQ(results.size(), points.size());
+  for (std::size_t n = 0; n < points.size(); ++n) {
+    EXPECT_EQ(calls[n], 1) << "index " << n;
+    const bool is_fresh = fresh.count(n) != 0;
+    EXPECT_EQ(delivered[n].from_cache, !is_fresh) << "index " << n;
+    if (is_fresh) {
+      EXPECT_GT(delivered[n].solve_seconds, 0.0) << "index " << n;
+    } else {
+      EXPECT_EQ(delivered[n].solve_seconds, 0.0) << "index " << n;
+    }
+    EXPECT_TRUE(numerically_equal(results[n], delivered[n])) << n;
+    EXPECT_EQ(results[n].from_cache, delivered[n].from_cache) << n;
+    EXPECT_EQ(results[n].solve_seconds, delivered[n].solve_seconds) << n;
+  }
+  return results;
+}
+
+TEST(SweepRunner, AccountsEveryPointOnceAtOneAndFourThreads) {
+  const SystemParams k2 = SystemParams::from_load(2, 1.0, 1.0, 0.5);
+  const SystemParams k4 = SystemParams::from_load(4, 1.0, 1.0, 0.5);
+  const RunPoint a{k2, "IF", SolverKind::kQbdAnalysis, {}};
+  const RunPoint b{k2, "EF", SolverKind::kQbdAnalysis, {}};
+  const RunPoint c{k4, "IF", SolverKind::kQbdAnalysis, {}};
+  const RunPoint d{k4, "EF", SolverKind::kQbdAnalysis, {}};
+  const RunPoint e{SystemParams::from_load(2, 2.0, 1.0, 0.6), "IF",
+                   SolverKind::kQbdAnalysis, {}};
+  const RunPoint bad{k2, "FairShare", SolverKind::kQbdAnalysis, {}};
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const std::string dir = testing::TempDir() + "esched_accounting_" +
+                            std::to_string(threads);
+    std::filesystem::remove_all(dir);
+
+    // Fresh points plus two in-call duplicates of a fresh one.
+    SweepRunner runner(threads);
+    runner.set_cache_dir(dir);
+    SweepStats stats;
+    SweepCounters counters;
+    const auto first =
+        run_checking_rows(runner, {a, b, a, c, a}, {0, 1, 3}, &stats);
+    EXPECT_EQ(stats.total_points, 5u);
+    EXPECT_EQ(stats.solved_points, 3u);
+    EXPECT_EQ(stats.cache_hits, 2u);
+    EXPECT_EQ(stats.disk_hits, 0u);
+    EXPECT_GT(stats.solve_seconds_total, 0.0);
+    EXPECT_EQ(stats.solve_seconds_total, first[0].solve_seconds +
+                                             first[1].solve_seconds +
+                                             first[3].solve_seconds);
+    EXPECT_TRUE(numerically_equal(first[2], first[0]));
+    EXPECT_TRUE(numerically_equal(first[4], first[0]));
+    EXPECT_EQ(counters.delta("points.total"), 5u);
+    EXPECT_EQ(counters.delta("points.solved"), 3u);
+    EXPECT_EQ(counters.delta("memo.hits"), 0u);
+    EXPECT_EQ(counters.delta("disk.hits"), 0u);
+    EXPECT_EQ(counters.delta("dup.points"), 2u);
+    EXPECT_EQ(runner.memo_size(), 3u);
+
+    // A prior-call memo hit repeated within the call (both memo hits: the
+    // key is not a job), plus a fresh point and its duplicate.
+    SweepCounters again;
+    run_checking_rows(runner, {b, d, b, d}, {1}, &stats);
+    EXPECT_EQ(stats.solved_points, 1u);
+    EXPECT_EQ(stats.cache_hits, 3u);
+    EXPECT_EQ(stats.disk_hits, 0u);
+    EXPECT_EQ(again.delta("points.solved"), 1u);
+    EXPECT_EQ(again.delta("memo.hits"), 2u);
+    EXPECT_EQ(again.delta("disk.hits"), 0u);
+    EXPECT_EQ(again.delta("dup.points"), 1u);
+    EXPECT_EQ(runner.memo_size(), 4u);
+
+    // A second runner on the same directory: table hits enter its memo,
+    // so a repeat of a table hit is a memo hit.
+    SweepRunner reader(threads);
+    reader.set_cache_dir(dir);
+    SweepCounters table;
+    const auto loaded =
+        run_checking_rows(reader, {a, e, a, b}, {1}, &stats);
+    EXPECT_EQ(stats.solved_points, 1u);
+    EXPECT_EQ(stats.cache_hits, 3u);
+    EXPECT_EQ(stats.disk_hits, 2u);
+    EXPECT_EQ(table.delta("points.solved"), 1u);
+    EXPECT_EQ(table.delta("memo.hits"), 1u);
+    EXPECT_EQ(table.delta("disk.hits"), 2u);
+    EXPECT_EQ(table.delta("dup.points"), 0u);
+    EXPECT_TRUE(numerically_equal(loaded[0], first[0]));
+    EXPECT_TRUE(numerically_equal(loaded[3], first[1]));
+    EXPECT_EQ(reader.memo_size(), 3u);
+
+    // One failing point fails the run, but its successful solves stay
+    // memoized: the rerun solves nothing and fails the same way.
+    SweepRunner failing(threads);
+    SweepCounters failed;
+    EXPECT_THROW(failing.run({a, bad, c, a}), Error);
+    EXPECT_EQ(failed.delta("points.solved"), 2u);
+    EXPECT_EQ(failed.delta("points.failed"), 1u);
+    EXPECT_EQ(failing.memo_size(), 2u);
+    SweepCounters rerun;
+    EXPECT_THROW(failing.run({a, bad, c, a}), Error);
+    EXPECT_EQ(rerun.delta("points.solved"), 0u);
+    EXPECT_EQ(rerun.delta("points.failed"), 1u);
+    EXPECT_EQ(rerun.delta("memo.hits"), 3u);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 TEST(Report, CsvAndJsonRoundTrip) {
