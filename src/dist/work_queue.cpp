@@ -5,10 +5,8 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <set>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
@@ -24,7 +22,7 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kManifestFormat = "esched-queue-v1";
+constexpr const char* kManifestFormat = "esched-queue-v2";
 
 /// Queue-protocol observability handles, resolved once per process.
 struct DistMetrics {
@@ -61,31 +59,24 @@ std::string chunk_file_name(std::size_t chunk) {
   return buf;
 }
 
-/// Chunk index from a "chunk-NNN<suffix>" file name; nullopt for foreign
-/// files (editor backups, tmp cruft, ...).
-std::optional<std::size_t> parse_chunk_file_name(const std::string& name,
-                                                 const std::string& suffix) {
-  constexpr const char* kPrefix = "chunk-";
-  const std::size_t prefix_len = 6;
-  if (name.rfind(kPrefix, 0) != 0) return std::nullopt;
-  if (name.size() <= prefix_len + suffix.size()) return std::nullopt;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
+/// Chunk index from a "chunk-NNNNNN.json" file name; nullopt for foreign
+/// files (editor backups, tmp cruft, unpadded numbers, ...).
+std::optional<std::size_t> parse_chunk_file_name(const std::string& name) {
+  constexpr std::size_t kPrefix = 6, kSuffix = 5;  // "chunk-", ".json"
+  if (name.size() <= kPrefix + kSuffix || !name.starts_with("chunk-") ||
+      !name.ends_with(".json")) {
     return std::nullopt;
   }
+  // Only chunk_file_name's spelling (at least six digits, no extra
+  // leading zero): the scans rebuild each path from the index.
+  const std::size_t digits = name.size() - kPrefix - kSuffix;
+  if (digits < 6 || (digits > 6 && name[kPrefix] == '0')) return std::nullopt;
   std::size_t value = 0;
-  for (std::size_t n = prefix_len; n < name.size() - suffix.size(); ++n) {
+  for (std::size_t n = kPrefix; n < name.size() - kSuffix; ++n) {
     if (name[n] < '0' || name[n] > '9') return std::nullopt;
     value = value * 10 + static_cast<std::size_t>(name[n] - '0');
   }
   return value;
-}
-
-std::optional<std::string> read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
 }
 
 std::size_t as_index(const JsonValue& v, const std::string& where) {
@@ -235,9 +226,6 @@ std::string WorkQueue::lease_path(std::size_t chunk) const {
 std::string WorkQueue::result_csv_path(std::size_t chunk) const {
   return directory_ + "/results/" + chunk_file_name(chunk) + ".csv";
 }
-std::string WorkQueue::result_json_path(std::size_t chunk) const {
-  return directory_ + "/results/" + chunk_file_name(chunk) + ".json";
-}
 std::string WorkQueue::done_path(std::size_t chunk) const {
   return directory_ + "/done/" + chunk_file_name(chunk) + ".json";
 }
@@ -245,41 +233,41 @@ std::string WorkQueue::failed_path(std::size_t chunk) const {
   return directory_ + "/failed/" + chunk_file_name(chunk) + ".json";
 }
 
+std::vector<std::size_t> WorkQueue::chunk_files(const char* sub) const {
+  std::vector<std::size_t> chunks;
+  std::error_code ec;
+  for (fs::directory_iterator it(directory_ + "/" + sub, ec), end;
+       !ec && it != end; it.increment(ec)) {
+    const auto chunk = parse_chunk_file_name(it->path().filename().string());
+    if (chunk.has_value() && *chunk < manifest_.num_chunks) {
+      chunks.push_back(*chunk);
+    }
+  }
+  std::sort(chunks.begin(), chunks.end());
+  return chunks;
+}
+
 std::vector<ChunkTask> WorkQueue::pending_tasks() const {
   std::vector<ChunkTask> tasks;
-  std::error_code ec;
-  for (fs::directory_iterator it(directory_ + "/tasks", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    const auto chunk = parse_chunk_file_name(name, ".json");
-    if (!chunk.has_value() || *chunk >= manifest_.num_chunks) continue;
-    const auto text = read_file(it->path().string());
+  for (const std::size_t chunk : chunk_files("tasks")) {
+    const auto text = read_file(task_path(chunk));
     if (!text.has_value()) continue;
     const auto task = parse_task_text(*text);
-    if (!task.has_value() || task->chunk != *chunk ||
+    if (!task.has_value() || task->chunk != chunk ||
         task->begin >= task->end || task->end > manifest_.total_points) {
       continue;  // torn or foreign: ignored by every scan
     }
     tasks.push_back(*task);
   }
-  std::sort(tasks.begin(), tasks.end(),
-            [](const ChunkTask& a, const ChunkTask& b) {
-              return a.chunk < b.chunk;
-            });
   return tasks;
 }
 
 std::vector<LeaseInfo> WorkQueue::leases() const {
   std::vector<LeaseInfo> result;
-  std::error_code ec;
-  for (fs::directory_iterator it(directory_ + "/leases", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    const auto chunk = parse_chunk_file_name(name, ".json");
-    if (!chunk.has_value() || *chunk >= manifest_.num_chunks) continue;
+  for (const std::size_t chunk : chunk_files("leases")) {
     LeaseInfo lease;
-    lease.chunk = *chunk;
-    lease.path = it->path().string();
+    lease.chunk = chunk;
+    lease.path = lease_path(chunk);
     const auto age = heartbeat_age_seconds(lease.path);
     if (!age.has_value()) continue;  // vanished between scan and stat
     lease.age_seconds = *age;
@@ -288,30 +276,22 @@ std::vector<LeaseInfo> WorkQueue::leases() const {
     }
     result.push_back(std::move(lease));
   }
-  std::sort(result.begin(), result.end(),
-            [](const LeaseInfo& a, const LeaseInfo& b) {
-              return a.chunk < b.chunk;
-            });
   return result;
 }
 
 std::vector<ChunkRecord> WorkQueue::completed() const {
   std::vector<ChunkRecord> records;
-  std::error_code ec;
   const auto now = fs::file_time_type::clock::now();
-  for (fs::directory_iterator it(directory_ + "/done", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    const auto chunk = parse_chunk_file_name(name, ".json");
-    if (!chunk.has_value() || *chunk >= manifest_.num_chunks) continue;
-    const auto text = read_file(it->path().string());
+  for (const std::size_t chunk : chunk_files("done")) {
+    const std::string path = done_path(chunk);
+    const auto text = read_file(path);
     if (!text.has_value()) continue;
     try {
       const JsonValue root = parse_json(*text, "done");
       ChunkRecord record;
-      record.chunk = *chunk;
+      record.chunk = chunk;
       std::error_code age_ec;
-      const auto mtime = fs::last_write_time(it->path(), age_ec);
+      const auto mtime = fs::last_write_time(path, age_ec);
       if (!age_ec) {
         record.age_seconds = std::max(
             0.0, std::chrono::duration<double>(now - mtime).count());
@@ -326,18 +306,14 @@ std::vector<ChunkRecord> WorkQueue::completed() const {
       if (const JsonValue* owner = root.find("owner")) {
         record.owner = owner->as_string("done.owner");
       }
-      if (const JsonValue* seconds = root.find("solve_seconds")) {
-        record.solve_seconds = seconds->as_number("done.solve_seconds");
+      if (const JsonValue* stats = root.find("stats")) {
+        record.stats = sweep_stats_from_json(*stats, "done.stats");
       }
       records.push_back(std::move(record));
     } catch (const std::exception&) {
       continue;  // torn record: the chunk reads as unfinished
     }
   }
-  std::sort(records.begin(), records.end(),
-            [](const ChunkRecord& a, const ChunkRecord& b) {
-              return a.chunk < b.chunk;
-            });
   return records;
 }
 
@@ -362,7 +338,7 @@ QueueCounts WorkQueue::counts(double lease_ttl_seconds) const {
   for (const ChunkRecord& record : completed()) {
     ++counts.done;
     counts.done_points += record.rows;
-    counts.done_seconds += record.solve_seconds;
+    counts.done_seconds += record.stats.wall_seconds;
   }
   counts.failed = failures().size();
   return counts;
@@ -409,16 +385,11 @@ void WorkQueue::record_failure(const ChunkTask& task, const std::string& owner,
 
 std::vector<FailureRecord> WorkQueue::failures() const {
   std::vector<FailureRecord> records;
-  std::error_code ec;
-  for (fs::directory_iterator it(directory_ + "/failed", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    const std::string name = it->path().filename().string();
-    const auto chunk = parse_chunk_file_name(name, ".json");
-    if (!chunk.has_value() || *chunk >= manifest_.num_chunks) continue;
-    if (is_done(*chunk)) continue;  // a later (or racing) solve succeeded
+  for (const std::size_t chunk : chunk_files("failed")) {
+    if (is_done(chunk)) continue;  // a later (or racing) solve succeeded
     FailureRecord record;
-    record.chunk = *chunk;
-    if (const auto text = read_file(it->path().string())) {
+    record.chunk = chunk;
+    if (const auto text = read_file(failed_path(chunk))) {
       try {
         const JsonValue root = parse_json(*text, "failed");
         if (const JsonValue* owner = root.find("owner")) {
@@ -433,41 +404,22 @@ std::vector<FailureRecord> WorkQueue::failures() const {
     }
     records.push_back(std::move(record));
   }
-  std::sort(records.begin(), records.end(),
-            [](const FailureRecord& a, const FailureRecord& b) {
-              return a.chunk < b.chunk;
-            });
   return records;
 }
 
 LightCounts WorkQueue::light_counts() const {
   // Directory-name tallies only — no file reads or JSON parses. This is
   // what worker idle loops poll (possibly every --poll-ms across a
-  // fleet); the full counts() below reads every record and is for
+  // fleet); the full counts() above reads every record and is for
   // `esched status`.
   LightCounts counts;
-  const auto tally = [&](const char* sub, const std::string& suffix,
-                         std::set<std::size_t>* chunks) {
-    std::size_t n = 0;
-    std::error_code ec;
-    for (fs::directory_iterator it(directory_ + sub, ec), end;
-         !ec && it != end; it.increment(ec)) {
-      const auto chunk =
-          parse_chunk_file_name(it->path().filename().string(), suffix);
-      if (!chunk.has_value() || *chunk >= manifest_.num_chunks) continue;
-      ++n;
-      if (chunks != nullptr) chunks->insert(*chunk);
-    }
-    return n;
-  };
-  std::set<std::size_t> done_chunks;
-  counts.pending = tally("/tasks", ".json", nullptr);
-  counts.leased = tally("/leases", ".json", nullptr);
-  counts.done = tally("/done", ".json", &done_chunks);
-  std::set<std::size_t> failed_chunks;
-  tally("/failed", ".json", &failed_chunks);
-  for (const std::size_t chunk : failed_chunks) {
-    if (done_chunks.count(chunk) == 0) ++counts.failed;
+  counts.pending = chunk_files("tasks").size();
+  counts.leased = chunk_files("leases").size();
+  const std::vector<std::size_t> done = chunk_files("done");
+  counts.done = done.size();
+  for (const std::size_t chunk : chunk_files("failed")) {
+    // A failed chunk that a later solve committed is not failed.
+    if (!std::binary_search(done.begin(), done.end(), chunk)) ++counts.failed;
   }
   return counts;
 }
@@ -580,18 +532,13 @@ void WorkQueue::commit(const ChunkTask& task, const std::string& owner,
                "chunk commit size mismatch");
   DistMetrics& metrics = dist_metrics();
   const ScopedTimer timer(metrics.commit_seconds, &metrics.committed);
-  // Result files first (each temp + atomic rename, so a torn chunk CSV
-  // can never sit under the final name), then the done marker, then the
-  // lease. Dying between any two steps is recoverable: the lease expires
-  // and the re-solve rewrites identical bytes.
-  const std::string csv_tmp = unique_tmp_path(result_csv_path(task.chunk));
-  write_csv_report(csv_tmp, points, results, manifest_.with_size_dist);
-  atomic_publish_file(csv_tmp, result_csv_path(task.chunk));
-
-  const std::string json_tmp = unique_tmp_path(result_json_path(task.chunk));
-  write_json_report(json_tmp, points, results, &stats,
-                    manifest_.with_size_dist);
-  atomic_publish_file(json_tmp, result_json_path(task.chunk));
+  // The result CSV first (published atomically, so a torn chunk CSV can
+  // never sit under the final name), then the done marker with the
+  // chunk's stats, then the lease. Dying between any two steps is
+  // recoverable: the lease expires and the re-solve rewrites identical
+  // bytes.
+  write_csv_report(result_csv_path(task.chunk), points, results,
+                   manifest_.with_size_dist);
 
   JsonValue record = JsonValue::make_object();
   record.set("chunk",
@@ -602,7 +549,7 @@ void WorkQueue::commit(const ChunkTask& task, const std::string& owner,
   record.set("rows",
              JsonValue::make_number(static_cast<double>(points.size())));
   record.set("owner", JsonValue::make_string(owner));
-  record.set("solve_seconds", JsonValue::make_number(stats.wall_seconds));
+  record.set("stats", sweep_stats_to_json(stats));
   atomic_write_file(done_path(task.chunk), record.dump() + "\n");
   // Commit-order invariant: once the done marker is published the chunk
   // must read as done (done_path and is_done agree), or status/collect
@@ -634,7 +581,7 @@ const std::vector<RunPoint>& WorkQueue::expanded_points() {
   return expanded_;
 }
 
-std::vector<std::string> WorkQueue::collectable_paths(bool json) const {
+std::vector<std::string> WorkQueue::collectable_paths() const {
   // Failed chunks first: they are terminal (deterministic solves retry
   // identically), so "wait for workers" would be the wrong advice.
   const std::vector<FailureRecord> failed = failures();
@@ -675,7 +622,7 @@ std::vector<std::string> WorkQueue::collectable_paths(bool json) const {
   std::vector<std::string> paths;
   paths.reserve(manifest_.num_chunks);
   for (std::size_t c = 0; c < manifest_.num_chunks; ++c) {
-    const std::string path = json ? result_json_path(c) : result_csv_path(c);
+    const std::string path = result_csv_path(c);
     std::error_code ec;
     ESCHED_CHECK(fs::exists(path, ec),
                  "queue '" + directory_ + "': chunk " + std::to_string(c) +

@@ -21,16 +21,17 @@
 //                           mtime, bumped as rows complete. Leases whose
 //                           heartbeat exceeds the TTL are reclaimed by
 //                           renaming back into tasks/.
-//   Q/results/chunk-NNNNNN.csv (+ .json)
-//                           the chunk's report slice, written via temp +
-//                           atomic rename — a torn result file can never
-//                           appear under this name. Chunk CSVs carry the
-//                           manifest's schema flag, so `esched collect`
-//                           (merge_csv_reports in chunk order) reproduces
-//                           the unsharded `esched run` CSV byte for byte.
+//   Q/results/chunk-NNNNNN.csv
+//                           the chunk's one result file, its report slice,
+//                           written via temp + atomic rename — a torn
+//                           result file can never appear under this name.
+//                           Chunk CSVs carry the manifest's schema flag,
+//                           so `esched collect` (read_csv_reports in chunk
+//                           order) reproduces the unsharded `esched run`
+//                           CSV, and its JSON points, byte for byte.
 //   Q/done/chunk-NNNNNN.json
-//                           completion record (rows, owner, solve wall
-//                           time) — the commit marker `status` and
+//                           completion record (rows, owner, the chunk's
+//                           SweepStats) — the commit marker `status` and
 //                           `collect` trust, written after the result.
 //   Q/failed/chunk-NNNNNN.json
 //                           terminal-failure marker (owner + solver error
@@ -67,7 +68,7 @@ struct QueueManifest {
   std::size_t total_points = 0;
   std::size_t num_chunks = 0;
   /// Combined report schema flag (report_has_size_dists over the FULL
-  /// grids): every chunk CSV/JSON is written with it, so all chunks share
+  /// grids): every chunk CSV is written with it, so all chunks share
   /// one header whatever slice they cover.
   bool with_size_dist = false;
   std::vector<Scenario> scenarios;
@@ -88,7 +89,7 @@ struct ChunkRecord {
   std::size_t end = 0;
   std::size_t rows = 0;
   std::string owner;
-  double solve_seconds = 0.0;  ///< the committing worker's solve wall time
+  SweepStats stats;  ///< the committing worker's run of the chunk
   /// Age of the done record (now - its mtime) at scan time: how long ago
   /// the chunk committed. What `esched status --watch` computes rolling
   /// throughput and ETA from.
@@ -152,7 +153,6 @@ class WorkQueue {
   std::string task_path(std::size_t chunk) const;
   std::string lease_path(std::size_t chunk) const;
   std::string result_csv_path(std::size_t chunk) const;
-  std::string result_json_path(std::size_t chunk) const;
   std::string done_path(std::size_t chunk) const;
   std::string failed_path(std::size_t chunk) const;
 
@@ -211,9 +211,9 @@ class WorkQueue {
   /// disk forever. Returns the number of files removed.
   std::size_t sweep_stale_tmp() const;
 
-  /// Commits a solved chunk: result CSV and JSON via temp + atomic
-  /// rename, then the done record, then the lease is dropped. `results`
-  /// must cover exactly [task.begin, task.end) of the combined grid.
+  /// Commits a solved chunk: the result CSV via temp + atomic rename,
+  /// then the done record carrying `stats`, then the lease is dropped.
+  /// `results` must cover exactly [task.begin, task.end) of the grid.
   void commit(const ChunkTask& task, const std::string& owner,
               const std::vector<RunPoint>& points,
               const std::vector<RunResult>& results,
@@ -226,15 +226,26 @@ class WorkQueue {
   const std::vector<RunPoint>& expanded_points();
 
   /// Validates completeness for `esched collect` and returns the result
-  /// file paths in chunk order (the merge order that reproduces the
+  /// CSV paths in chunk order (the merge order that reproduces the
   /// unsharded report). Throws esched::Error carrying the first failure
   /// marker's error when any chunk failed terminally, naming the
   /// unfinished chunks when any chunk lacks a done record, and the
   /// affected chunk when a done record's result file is missing.
-  std::vector<std::string> collectable_paths(bool json) const;
+  std::vector<std::string> collectable_paths() const;
+
+  /// collectable_paths(), kept because the benchmark probe
+  /// (perfbench/probe.cpp) is compiled against this signature.
+  std::vector<std::string> collectable_paths(bool) const {
+    return collectable_paths();
+  }
 
  private:
   WorkQueue() = default;
+
+  /// The chunks that have an in-range chunk-N.json file in Q/<sub>,
+  /// sorted; foreign names and out-of-range ids are skipped. Reads no
+  /// file.
+  std::vector<std::size_t> chunk_files(const char* sub) const;
 
   std::string directory_;
   QueueManifest manifest_;

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <ostream>
 #include <sstream>
 
@@ -96,6 +97,93 @@ bool is_summary_record(const std::vector<std::string>& cells) {
   return cells.size() == 1 && cells.front().rfind("# ", 0) == 0;
 }
 
+/// The report columns that hold text; every other cell is a number.
+bool is_string_column(const std::string& name) {
+  return name == "policy" || name == "solver" || name == "size_dist_i" ||
+         name == "size_dist_e";
+}
+
+std::string read_input(const std::string& path) {
+  auto text = read_file(path);
+  ESCHED_CHECK(text.has_value(), "cannot read '" + path + "'");
+  return std::move(*text);
+}
+
+/// A report's rows as the renderers read them: row(n) is the cells of
+/// the n-th of `count` rows under `header`.
+struct Rows {
+  const std::vector<std::string>& header;
+  std::size_t count;
+  std::function<std::vector<std::string>(std::size_t)> row;
+};
+
+Rows table_rows(const ReportTable& table) {
+  return {table.header, table.rows.size(),
+          [&table](std::size_t n) { return csv_decode_row(table.rows[n]); }};
+}
+
+/// A sweep's rows, straight from its points; `with_size_dist` as in
+/// write_csv_report.
+Rows point_rows(const std::vector<RunPoint>& points,
+                const std::vector<RunResult>& results,
+                std::optional<bool> with_size_dist_opt) {
+  ESCHED_CHECK(points.size() == results.size(),
+               "points/results size mismatch");
+  const bool with_size_dist =
+      with_size_dist_opt.value_or(report_has_size_dists(points));
+  return {report_header(with_size_dist), points.size(),
+          [&points, &results, with_size_dist](std::size_t n) {
+            return report_row(points[n], results[n], with_size_dist);
+          }};
+}
+
+/// The CSV renderer: the header, the rows, then the summary trailer
+/// recomputed from their cells; streamed into an atomic publish.
+void publish_csv(const std::string& path, const Rows& rows) {
+  atomic_write_stream(path, [&](std::ostream& out) {
+    out << csv_encode_row(rows.header) << '\n';
+    CsvSummary summary(rows.header);
+    for (std::size_t n = 0; n < rows.count; ++n) {
+      const std::vector<std::string> cells = rows.row(n);
+      out << csv_encode_row(cells) << '\n';
+      summary.add_row(cells);
+    }
+    summary.write(out);
+  });
+}
+
+/// The JSON renderer: {"points": [...], "stats": {...}?}. Each cell is
+/// emitted verbatim, except that the string columns are JSON strings;
+/// "stats" is sweep_stats_to_json. Published like publish_csv.
+void publish_json(const std::string& path, const Rows& rows,
+                  const SweepStats* stats) {
+  std::vector<std::string> keys;  // each column's `"name": `
+  for (const std::string& name : rows.header) {
+    keys.push_back(JsonValue::make_string(name).dump() + ": ");
+  }
+  atomic_write_stream(path, [&](std::ostream& out) {
+    out << "{\n  \"points\": [\n";
+    for (std::size_t n = 0; n < rows.count; ++n) {
+      const std::vector<std::string> cells = rows.row(n);
+      out << "    {";
+      for (std::size_t c = 0; c < keys.size(); ++c) {
+        out << (c > 0 ? ", " : "") << keys[c];
+        if (is_string_column(rows.header[c])) {
+          out << JsonValue::make_string(cells[c]).dump();
+        } else {
+          out << cells[c];
+        }
+      }
+      out << (n + 1 < rows.count ? "},\n" : "}\n");
+    }
+    out << "  ]";
+    if (stats != nullptr) {
+      out << ",\n  \"stats\": " << sweep_stats_to_json(*stats).dump(0);
+    }
+    out << "\n}\n";
+  });
+}
+
 }  // namespace
 
 bool report_has_size_dists(const std::vector<RunPoint>& points) {
@@ -145,25 +233,15 @@ void CsvSummary::write(std::ostream& os) const {
   }
 }
 
+void write_csv_report(const std::string& path, const ReportTable& table) {
+  publish_csv(path, table_rows(table));
+}
+
 void write_csv_report(const std::string& path,
                       const std::vector<RunPoint>& points,
                       const std::vector<RunResult>& results,
-                      std::optional<bool> with_size_dist_opt) {
-  ESCHED_CHECK(points.size() == results.size(),
-               "points/results size mismatch");
-  const bool with_size_dist =
-      with_size_dist_opt.value_or(report_has_size_dists(points));
-  std::ofstream out(path);
-  ESCHED_CHECK(out.good(), "failed to open CSV file: " + path);
-  out << csv_encode_row(report_header(with_size_dist)) << '\n';
-  CsvSummary summary(report_header(with_size_dist));
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    const auto row = report_row(points[n], results[n], with_size_dist);
-    out << csv_encode_row(row) << '\n';
-    summary.add_row(row);
-  }
-  summary.write(out);
-  ESCHED_CHECK(out.good(), "error writing '" + path + "'");
+                      std::optional<bool> with_size_dist) {
+  publish_csv(path, point_rows(points, results, with_size_dist));
 }
 
 StreamingCsvReport::StreamingCsvReport(const std::string& path, bool resume,
@@ -172,15 +250,7 @@ StreamingCsvReport::StreamingCsvReport(const std::string& path, bool resume,
       with_size_dist_(with_size_dist),
       summary_(report_header(with_size_dist)) {
   const std::size_t arity = report_header(with_size_dist_).size();
-  std::string existing;
-  if (resume) {
-    std::ifstream in(path, std::ios::binary);
-    if (in.good()) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      existing = buffer.str();
-    }
-  }
+  const std::string existing = resume ? read_file(path).value_or("") : "";
   if (!existing.empty()) {
     // Keep the longest clean prefix: the matching header plus every
     // complete, well-formed data row; stop at a torn line, a malformed
@@ -282,91 +352,52 @@ void StreamingCsvReport::finish(std::size_t total) {
   finished_ = true;
 }
 
-MergeStats merge_csv_reports(const std::vector<std::string>& inputs,
-                             const std::string& out_path) {
+ReportTable read_csv_reports(const std::vector<std::string>& inputs) {
   ESCHED_CHECK(!inputs.empty(), "merge needs at least one input CSV");
-  // Stream into a sibling temp file and rename at the end: the output
-  // replaces `out_path` atomically, so a failed merge leaves no torn
-  // file, `--out` may even name one of the inputs, and concurrent merges
-  // racing on one --out each publish a complete file (unique temp names —
-  // a fixed name would let the loser keep writing into the winner's
-  // published artifact).
-  const std::string tmp_path = unique_tmp_path(out_path);
-  std::vector<std::string> header;
-  std::ofstream out;
-  CsvSummary summary({});
-  MergeStats stats;
-  try {
+  ReportTable table;
   for (const std::string& input : inputs) {
-    std::ifstream in(input, std::ios::binary);
-    ESCHED_CHECK(in.good(), "cannot read '" + input + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const std::string text = buffer.str();
-
+    const std::string text = read_input(input);
     std::size_t offset = 0;
     std::vector<std::string> cells;
     bool complete = false;
     ESCHED_CHECK(csv_parse_record(text, &offset, &cells, &complete) &&
                      complete && !cells.empty(),
                  "'" + input + "' has no CSV header");
-    if (header.empty()) {
-      header = cells;
-      summary = CsvSummary(header);
-      out.open(tmp_path);
-      ESCHED_CHECK(out.good(), "failed to open CSV file: " + tmp_path);
-      out << csv_encode_row(header) << '\n';
+    if (table.header.empty()) {
+      table.header = cells;
     } else {
-      ESCHED_CHECK(cells == header,
+      ESCHED_CHECK(cells == table.header,
                    "'" + input + "' has a different header than '" +
                        inputs.front() + "'; refusing to merge");
     }
     while (csv_parse_record(text, &offset, &cells, &complete)) {
-      if (is_summary_record(cells)) continue;  // recomputed below
+      if (is_summary_record(cells)) continue;  // recomputed on render
       ESCHED_CHECK(complete, "'" + input + "' ends in a truncated row");
-      ESCHED_CHECK(cells.size() == header.size(),
+      ESCHED_CHECK(cells.size() == table.header.size(),
                    "'" + input + "' has a row with " +
                        std::to_string(cells.size()) + " fields (header has " +
-                       std::to_string(header.size()) + ")");
-      out << csv_encode_row(cells) << '\n';
-      summary.add_row(cells);
-      ++stats.rows;
+                       std::to_string(table.header.size()) + ")");
+      table.rows.push_back(csv_encode_row(cells));
     }
-    ++stats.files;
   }
-  summary.write(out);
-  ESCHED_CHECK(out.good(), "error writing '" + tmp_path + "'");
-  } catch (...) {
-    out.close();
-    std::remove(tmp_path.c_str());
-    throw;
-  }
-  out.close();
-  atomic_publish_file(tmp_path, out_path);
-  return stats;
+  return table;
+}
+
+MergeStats merge_csv_reports(const std::vector<std::string>& inputs,
+                             const std::string& out_path) {
+  const ReportTable table = read_csv_reports(inputs);
+  write_csv_report(out_path, table);
+  return {inputs.size(), table.rows.size()};
 }
 
 MergeStats merge_json_reports(const std::vector<std::string>& inputs,
                               const std::string& out_path) {
   ESCHED_CHECK(!inputs.empty(), "merge needs at least one input JSON report");
-  // Accumulate everything in memory first (reports are rows of numbers; a
-  // million-point sweep is tens of MB), then write temp + rename so a
-  // failed merge leaves no torn file and --out may name an input.
-  std::vector<std::string> point_lines;
-  std::vector<std::string> keys;  // the point-object "header"
-  std::string keys_source;        // which input defined it (may not be the
-                                  // first: zero-point inputs are skipped)
-  bool have_keys = false;
-  bool any_stats = false;
-  double total_points = 0, solved_points = 0, cache_hits = 0, disk_hits = 0;
-  double threads = 0, wall_seconds = 0, solve_seconds = 0;
-  MergeStats stats;
+  ReportTable table;
+  std::string header_source;  // the input whose first point set the header
+  std::optional<SweepStats> stats;
   for (const std::string& input : inputs) {
-    std::ifstream in(input, std::ios::binary);
-    ESCHED_CHECK(in.good(), "cannot read '" + input + "'");
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const JsonValue root = parse_json(buffer.str(), input);
+    const JsonValue root = parse_json(read_input(input), input);
     const JsonValue* points = root.find("points");
     ESCHED_CHECK(points != nullptr && points->is_array(),
                  "'" + input +
@@ -375,83 +406,33 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
     for (std::size_t n = 0; n < items.size(); ++n) {
       const std::string where =
           input + ": points[" + std::to_string(n) + "]";
-      const auto& members = items[n].as_object(where);
-      std::vector<std::string> item_keys;
-      item_keys.reserve(members.size());
-      std::string line = "    {";
-      for (const auto& [key, value] : members) {
-        if (item_keys.size() > 0) line += ", ";
-        item_keys.push_back(key);
-        line += JsonValue::make_string(key).dump() + ": " + value.dump();
+      std::vector<std::string> keys, cells;
+      for (const auto& [key, value] : items[n].as_object(where)) {
+        keys.push_back(key);
+        cells.push_back(is_string_column(key)
+                            ? value.as_string(where + "." + key)
+                            : value.dump());
       }
-      line += "}";
-      if (!have_keys) {
-        keys = std::move(item_keys);
-        keys_source = input;
-        have_keys = true;
+      if (table.rows.empty()) {
+        table.header = std::move(keys);
+        header_source = input;
       } else {
         // The schema check mirroring the CSV header comparison: every
         // point of every input must carry the same columns in the same
         // order, or the merged document would silently mix schemas.
-        ESCHED_CHECK(item_keys == keys,
-                     where + " has different fields than '" + keys_source +
+        ESCHED_CHECK(keys == table.header,
+                     where + " has different fields than '" + header_source +
                          "'s first point; refusing to merge");
       }
-      point_lines.push_back(std::move(line));
-      ++stats.rows;
+      table.rows.push_back(csv_encode_row(cells));
     }
     if (const JsonValue* s = root.find("stats")) {
-      const std::string where = input + ": stats";
-      any_stats = true;
-      const auto add = [&](const char* key, double& sum) {
-        if (const JsonValue* v = s->find(key)) {
-          sum += v->as_number(where + "." + key);
-        }
-      };
-      add("total_points", total_points);
-      add("solved_points", solved_points);
-      add("cache_hits", cache_hits);
-      add("disk_hits", disk_hits);
-      add("wall_seconds", wall_seconds);
-      add("solve_seconds", solve_seconds);
-      if (const JsonValue* v = s->find("threads")) {
-        threads = std::max(threads, v->as_number(where + ".threads"));
-      }
-    }
-    ++stats.files;
-  }
-
-  // Unique temp + rename, as in the CSV merge: concurrent merges racing
-  // on one --out each publish a complete file.
-  const std::string tmp_path = unique_tmp_path(out_path);
-  {
-    std::ofstream out(tmp_path);
-    ESCHED_CHECK(out.good(), "failed to open JSON file: " + tmp_path);
-    out << "{\n  \"points\": [\n";
-    for (std::size_t n = 0; n < point_lines.size(); ++n) {
-      out << point_lines[n] << (n + 1 < point_lines.size() ? "," : "")
-          << '\n';
-    }
-    out << "  ]";
-    if (any_stats) {
-      out << ",\n  \"stats\": {\"total_points\": "
-          << static_cast<long long>(total_points)
-          << ", \"solved_points\": " << static_cast<long long>(solved_points)
-          << ", \"cache_hits\": " << static_cast<long long>(cache_hits)
-          << ", \"disk_hits\": " << static_cast<long long>(disk_hits)
-          << ", \"threads\": " << static_cast<long long>(threads)
-          << ", \"wall_seconds\": " << format_double(wall_seconds)
-          << ", \"solve_seconds\": " << format_double(solve_seconds) << "}";
-    }
-    out << "\n}\n";
-    if (!out.good()) {
-      out.close();
-      std::remove(tmp_path.c_str());
-      throw Error("error writing '" + tmp_path + "'");
+      if (!stats.has_value()) stats.emplace();
+      stats->add(sweep_stats_from_json(*s, input + ": stats"));
     }
   }
-  atomic_publish_file(tmp_path, out_path);
-  return stats;
+  write_json_report(out_path, table, stats.has_value() ? &*stats : nullptr);
+  return {inputs.size(), table.rows.size()};
 }
 
 RowCallback progress_callback(std::size_t total, std::ostream& os,
@@ -477,49 +458,17 @@ RowCallback progress_callback(std::size_t total, std::ostream& os,
   };
 }
 
+void write_json_report(const std::string& path, const ReportTable& table,
+                       const SweepStats* stats) {
+  publish_json(path, table_rows(table), stats);
+}
+
 void write_json_report(const std::string& path,
                        const std::vector<RunPoint>& points,
                        const std::vector<RunResult>& results,
                        const SweepStats* stats,
-                       std::optional<bool> with_size_dist_opt) {
-  ESCHED_CHECK(points.size() == results.size(),
-               "points/results size mismatch");
-  const bool with_size_dist =
-      with_size_dist_opt.value_or(report_has_size_dists(points));
-  std::ofstream out(path);
-  ESCHED_CHECK(out.good(), "cannot open '" + path + "' for writing");
-  const auto& header = report_header(with_size_dist);
-  out << "{\n  \"points\": [\n";
-  for (std::size_t n = 0; n < points.size(); ++n) {
-    const auto row = report_row(points[n], results[n], with_size_dist);
-    out << "    {";
-    for (std::size_t c = 0; c < header.size(); ++c) {
-      if (c > 0) out << ", ";
-      // Only the policy/solver/size-dist columns are strings; everything
-      // else is emitted numerically (format_double never produces non-JSON
-      // text).
-      const bool quoted = header[c] == "policy" || header[c] == "solver" ||
-                          header[c] == "size_dist_i" ||
-                          header[c] == "size_dist_e";
-      out << '"' << header[c] << "\": ";
-      if (quoted) out << '"' << row[c] << '"';
-      else out << row[c];
-    }
-    out << '}' << (n + 1 < points.size() ? "," : "") << '\n';
-  }
-  out << "  ]";
-  if (stats != nullptr) {
-    out << ",\n  \"stats\": {\"total_points\": " << stats->total_points
-        << ", \"solved_points\": " << stats->solved_points
-        << ", \"cache_hits\": " << stats->cache_hits
-        << ", \"disk_hits\": " << stats->disk_hits
-        << ", \"threads\": " << stats->threads_used
-        << ", \"wall_seconds\": " << format_double(stats->wall_seconds)
-        << ", \"solve_seconds\": "
-        << format_double(stats->solve_seconds_total) << "}";
-  }
-  out << "\n}\n";
-  ESCHED_CHECK(out.good(), "error writing '" + path + "'");
+                       std::optional<bool> with_size_dist) {
+  publish_json(path, point_rows(points, results, with_size_dist), stats);
 }
 
 void print_sweep_summary(std::ostream& os, const std::vector<RunPoint>& points,

@@ -23,13 +23,30 @@ namespace esched {
 /// pre-refactor schema, so every existing golden stays byte-identical.
 bool report_has_size_dists(const std::vector<RunPoint>& points);
 
-/// The uniform CSV report schema (one row per RunPoint, input order) is
+/// A report read back in: the column header plus each data row as its
+/// CSV line (csv_encode_row of its cells, no newline), so a table holds
+/// about the report's own size. The merges and `esched collect` work on
+/// it; the point-based writers below render each row straight into the
+/// output and build no table.
+struct ReportTable {
+  std::vector<std::string> header;
+  std::vector<std::string> rows;
+};
+
+/// The CSV report: header, rows, then a summary trailer ("# " comment
+/// lines) recomputed from the row text alone (see CsvSummary). Like every
+/// report writer here it renders the whole file in memory and publishes
+/// it with atomic_write_file: `path` is replaced by rename (a symlink
+/// there is replaced, not written through; a device or FIFO is written
+/// in place) and a failed write leaves no torn file.
+void write_csv_report(const std::string& path, const ReportTable& table);
+
+/// The uniform report schema (one row per RunPoint, input order) is
 /// fully deterministic: volatile per-invocation facts — wall time and
 /// cache provenance — live in RunResult/SweepStats and the JSON stats
-/// block, never in CSV rows. That is what makes shard CSVs merge to the
-/// unsharded report byte-for-byte and an interrupted streaming run resume
-/// byte-identically. Every CSV report ends in a summary trailer ("# "
-/// comment lines) recomputed from the row text alone (see CsvSummary).
+/// block, never in report rows. That is what makes shard CSVs merge to
+/// the unsharded report byte-for-byte and an interrupted streaming run
+/// resume byte-identically.
 ///
 /// `with_size_dist` selects the size-dist schema; nullopt derives it from
 /// `points` via report_has_size_dists. When writing a shard SLICE of a
@@ -119,6 +136,8 @@ class StreamingCsvReport {
 
   std::string path_;
   bool with_size_dist_ = false;
+  // esched-lint: allow(raw-file-io): an in-place appender by design —
+  // rows reach --out as they land, and a resume truncates the torn tail.
   std::ofstream out_;
   CsvSummary summary_;
   std::size_t truncate_at_ = 0;  ///< clean-prefix byte length on resume
@@ -133,37 +152,37 @@ class StreamingCsvReport {
   std::vector<std::uint64_t> resumed_hashes_;
 };
 
-/// Bookkeeping returned by merge_csv_reports.
+/// Bookkeeping returned by the merges.
 struct MergeStats {
   std::size_t files = 0;
   std::size_t rows = 0;
 };
 
-/// `esched merge`: concatenates the data rows of `inputs` (in argument
-/// order — shard order, for shard CSVs) under their common header and
-/// recomputes the summary trailer from the merged rows, writing the
-/// result to `out_path`. Inputs must share one header byte-for-byte
-/// (header-only CSVs from empty shards are fine); their own summary
-/// trailers are dropped. Merging shard CSVs of one sweep reproduces the
-/// unsharded report exactly. Throws esched::Error on unreadable input,
-/// header mismatch, or a malformed/truncated row.
+/// Reads CSV reports into one table: the data rows of `inputs` in
+/// argument order (shard or chunk order) under their common header.
+/// Inputs must share one header byte-for-byte (header-only CSVs from
+/// empty shards are fine); their summary trailers are dropped. Throws
+/// esched::Error on unreadable input, header mismatch, or a
+/// malformed/truncated row.
+ReportTable read_csv_reports(const std::vector<std::string>& inputs);
+
+/// `esched merge`: write_csv_report of read_csv_reports(inputs). Merging
+/// shard CSVs of one sweep reproduces the unsharded report exactly, and
+/// `out_path` may name an input.
 MergeStats merge_csv_reports(const std::vector<std::string>& inputs,
                              const std::string& out_path);
 
-/// `esched merge` for JSON reports (and `esched collect --json`):
-/// concatenates the "points" arrays of {"points": [...], "stats": {...}}
-/// documents in argument order — shard/chunk order — and recomputes the
-/// stats block by summing the inputs' counters (total/solved points,
-/// cache/disk hits, wall seconds; threads is the max), mirroring the CSV
-/// merge invariant: merged points == the unsharded run's points,
-/// value-for-value (numbers re-serialize in shortest round-trip form, so
-/// byte identity is NOT promised — the CSV is the byte-exact artifact;
-/// wall-clock stats are volatile either way). Every point object must
-/// carry the same keys in the same order as the first input's first point
-/// (the JSON "header"); inputs with zero points are fine. The stats block
-/// is omitted when no input has one. Writes via temp + atomic rename, so
-/// out_path may name an input and a failed merge leaves no torn file.
-/// Throws esched::Error on unreadable/unparseable input or key mismatch.
+/// `esched merge` for JSON reports: reads the "points" arrays of
+/// {"points": [...], "stats": {...}} documents in argument order into
+/// one table and renders it with write_json_report. Numeric cells keep
+/// their shortest round-trip form, so merged points equal the unsharded
+/// run's points value for value; the string columns (policy, solver,
+/// size_dist_*) must hold strings. The stats block is the SweepStats::add
+/// sum of the inputs' blocks, omitted when no input has one. Every point
+/// object must carry the same keys in the same order as the first point
+/// (the JSON "header"); inputs with zero points are fine. `out_path` may
+/// name an input. Throws esched::Error on unreadable/unparseable input
+/// or key mismatch.
 MergeStats merge_json_reports(const std::vector<std::string>& inputs,
                               const std::string& out_path);
 
@@ -180,8 +199,14 @@ MergeStats merge_json_reports(const std::vector<std::string>& inputs,
 RowCallback progress_callback(std::size_t total, std::ostream& os,
                               std::size_t offset = 0);
 
-/// Same rows as a JSON document: {"points": [...], "stats": {...}?}.
-/// `with_size_dist` as in write_csv_report.
+/// The JSON report: {"points": [...], "stats": {...}?}. Each cell is
+/// emitted verbatim, except that the string columns (policy, solver,
+/// size_dist_*) are JSON strings; "stats" is sweep_stats_to_json.
+/// Published like write_csv_report.
+void write_json_report(const std::string& path, const ReportTable& table,
+                       const SweepStats* stats = nullptr);
+
+/// The point-based form; `with_size_dist` as in write_csv_report.
 void write_json_report(const std::string& path,
                        const std::vector<RunPoint>& points,
                        const std::vector<RunResult>& results,

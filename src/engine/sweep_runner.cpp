@@ -1,11 +1,14 @@
 #include "engine/sweep_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <mutex>
 #include <thread>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "engine/shm_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -58,6 +61,55 @@ RunResult cached_copy(const RunResult& result) {
 }
 
 }  // namespace
+
+void SweepStats::add(const SweepStats& other) {
+  total_points += other.total_points;
+  solved_points += other.solved_points;
+  cache_hits += other.cache_hits;
+  disk_hits += other.disk_hits;
+  wall_seconds += other.wall_seconds;
+  solve_seconds_total += other.solve_seconds_total;
+  threads_used = std::max(threads_used, other.threads_used);
+}
+
+JsonValue sweep_stats_to_json(const SweepStats& stats) {
+  JsonValue root = JsonValue::make_object();
+  const auto set = [&root](const char* key, double value) {
+    root.set(key, JsonValue::make_number(value));
+  };
+  set("total_points", static_cast<double>(stats.total_points));
+  set("solved_points", static_cast<double>(stats.solved_points));
+  set("cache_hits", static_cast<double>(stats.cache_hits));
+  set("disk_hits", static_cast<double>(stats.disk_hits));
+  set("threads", stats.threads_used);
+  set("wall_seconds", stats.wall_seconds);
+  set("solve_seconds", stats.solve_seconds_total);
+  return root;
+}
+
+SweepStats sweep_stats_from_json(const JsonValue& value,
+                                 const std::string& where) {
+  value.as_object(where);
+  const auto count = [&](const char* key, long long max) {
+    const JsonValue* v = value.find(key);
+    return v == nullptr ? 0LL : v->as_integer(where + "." + key, 0, max);
+  };
+  const auto seconds = [&](const char* key) {
+    const JsonValue* v = value.find(key);
+    return v == nullptr ? 0.0 : v->as_number(where + "." + key);
+  };
+  constexpr long long kMax = std::numeric_limits<long long>::max();
+  SweepStats stats;
+  stats.total_points = static_cast<std::size_t>(count("total_points", kMax));
+  stats.solved_points = static_cast<std::size_t>(count("solved_points", kMax));
+  stats.cache_hits = static_cast<std::size_t>(count("cache_hits", kMax));
+  stats.disk_hits = static_cast<std::size_t>(count("disk_hits", kMax));
+  stats.threads_used =
+      static_cast<int>(count("threads", std::numeric_limits<int>::max()));
+  stats.wall_seconds = seconds("wall_seconds");
+  stats.solve_seconds_total = seconds("solve_seconds");
+  return stats;
+}
 
 SweepRunner::SweepRunner(int num_threads) : num_threads_(num_threads) {
   ESCHED_CHECK(num_threads >= 0, "thread count must be >= 0");

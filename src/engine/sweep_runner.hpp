@@ -22,6 +22,7 @@
 
 namespace esched {
 
+class JsonValue;
 class ShmResultCache;
 
 /// Bookkeeping for one run() call.
@@ -36,7 +37,22 @@ struct SweepStats {
   /// cache — the honest numerator for cache-effectiveness and ETA math.
   double solve_seconds_total = 0.0;
   int threads_used = 0;
+
+  /// Folds another run in: counts and seconds add, threads_used is the
+  /// max. How a multi-scenario invocation, a merge and a queue collect
+  /// total their parts.
+  void add(const SweepStats& other);
 };
+
+/// The stats block of JSON reports and queue done records:
+/// {"total_points", "solved_points", "cache_hits", "disk_hits",
+/// "threads", "wall_seconds", "solve_seconds"}, in that order.
+JsonValue sweep_stats_to_json(const SweepStats& stats);
+
+/// Inverse of sweep_stats_to_json; absent keys read as 0. Throws
+/// esched::Error naming `where` on a non-object or a mistyped value.
+SweepStats sweep_stats_from_json(const JsonValue& value,
+                                 const std::string& where);
 
 /// Row-completion callback: invoked once per input point as soon as its
 /// result is available, with the point's original index into the `points`

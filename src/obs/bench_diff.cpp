@@ -1,12 +1,11 @@
 #include "obs/bench_diff.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <ostream>
-#include <sstream>
 
+#include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 
@@ -20,11 +19,9 @@ const BenchCaseStats* BenchSnapshot::find(const std::string& name) const {
 }
 
 BenchSnapshot load_bench_snapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  ESCHED_CHECK(in.good(), "cannot read '" + path + "'");
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const JsonValue root = parse_json(buffer.str(), path);
+  const auto text = read_file(path);
+  ESCHED_CHECK(text.has_value(), "cannot read '" + path + "'");
+  const JsonValue root = parse_json(*text, path);
 
   const JsonValue* format = root.find("format");
   ESCHED_CHECK(format != nullptr &&

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "common/atomic_file.hpp"
 #include "common/error.hpp"
@@ -147,10 +145,8 @@ FleetSnapshot read_fleet_telemetry(const std::string& dir) {
     }
     WorkerTelemetry worker;
     try {
-      std::ifstream in(entry.path(), std::ios::binary);
-      std::ostringstream text;
-      text << in.rdbuf();
-      const JsonValue doc = parse_json(text.str(), name);
+      const JsonValue doc =
+          parse_json(read_file(entry.path().string()).value_or(""), name);
       const JsonValue* version = doc.find("telemetry_schema_version");
       if (version == nullptr ||
           version->as_integer(name, 1, 1000000) != kTelemetrySchemaVersion) {

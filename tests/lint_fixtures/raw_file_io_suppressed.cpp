@@ -7,7 +7,7 @@
 void primitives(const char* path) {
   std::rename("from", path);  // esched-lint: allow(raw-file-io): the claim primitive itself
   // esched-lint: allow(raw-file-io): streams into a unique temp file
-  // that a later atomic_publish_file moves into place, so no reader
+  // that a later atomic rename moves into place, so no reader
   // ever sees it under the final name.
   std::ofstream out(path);
 }

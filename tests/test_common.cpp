@@ -1,11 +1,23 @@
 // Unit tests for common utilities: error macros, numeric helpers, the
-// table printer, and the CSV writer.
+// table printer, the CSV writer, and atomic file publication.
 #include <gtest/gtest.h>
 
+#include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#if __has_include(<sys/resource.h>)
+#include <sys/resource.h>
+#endif
+#if __has_include(<sys/stat.h>) && __has_include(<fcntl.h>)
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+#endif
+
+#include "common/atomic_file.hpp"
 #include "common/csv.hpp"
 #include "common/error.hpp"
 #include "common/numeric.hpp"
@@ -175,6 +187,75 @@ TEST(Csv, ParseRecordReportsTornLines) {
   EXPECT_EQ(cells, (std::vector<std::string>{"em\nbed", "2"}));
 
   EXPECT_THROW(csv_decode_row("a,\"unclosed"), Error);
+}
+
+TEST(AtomicFile, FailedFinalFlushPublishesNothing) {
+#if __has_include(<sys/resource.h>) && defined(SIGXFSZ)
+  // 1000 bytes fit the stream buffer, so they reach the temp file only in
+  // the final flush; a 100-byte file-size limit on this process makes
+  // that flush come up short. Nothing may be published.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "atomic_flush";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "report.csv").string();
+
+  rlimit saved{};
+  ASSERT_EQ(getrlimit(RLIMIT_FSIZE, &saved), 0);
+  rlimit lowered = saved;
+  lowered.rlim_cur = 100;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(setrlimit(RLIMIT_FSIZE, &lowered), 0);
+  bool threw = false;
+  try {
+    atomic_write_file(path, std::string(1000, 'x'));
+  } catch (const Error&) {
+    threw = true;
+  }
+  setrlimit(RLIMIT_FSIZE, &saved);
+  std::signal(SIGXFSZ, old_handler);
+
+  EXPECT_TRUE(threw) << "a short final flush was published";
+  EXPECT_FALSE(fs::exists(path));
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    ADD_FAILURE() << "left behind: " << entry.path();
+  }
+  fs::remove_all(dir);
+#else
+  GTEST_SKIP() << "needs RLIMIT_FSIZE and SIGXFSZ";
+#endif
+}
+
+TEST(AtomicFile, WritesThroughANonRegularFileInPlace) {
+#if __has_include(<sys/stat.h>) && __has_include(<fcntl.h>)
+  // A FIFO stands in for /dev/null or a pipe: renaming over it would
+  // replace the node, so the text must go through it instead. The read
+  // end is opened non-blocking first, so the write cannot block and a
+  // wrong rename shows as an empty read and a regular file, not a hang.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(testing::TempDir()) / "atomic_fifo";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const std::string path = (dir / "report.json").string();
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  const int reader = open(path.c_str(), O_RDONLY | O_NONBLOCK);
+  ASSERT_GE(reader, 0);
+
+  atomic_write_file(path, "{\"points\": []}\n");
+  char buffer[64] = {};
+  const ssize_t got = read(reader, buffer, sizeof buffer);
+  close(reader);
+
+  EXPECT_EQ(std::string(buffer, got > 0 ? static_cast<std::size_t>(got) : 0),
+            "{\"points\": []}\n");
+  EXPECT_TRUE(fs::is_fifo(path)) << "the FIFO was replaced";
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    EXPECT_EQ(entry.path().string(), path) << "left behind: " << entry.path();
+  }
+  fs::remove_all(dir);
+#else
+  GTEST_SKIP() << "needs mkfifo";
+#endif
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // torn task/result files ignored on scan, collect refusing an incomplete
 // queue with a named error, the JSON report merge, and the headline
 // invariant — three concurrent workers (one of them "crashed" mid-sweep)
-// collect to a CSV byte-identical to the single-process run.
+// collect to a CSV byte-identical to the single-process run, and to its
+// JSON outside the stats.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -105,6 +106,23 @@ TEST(WorkQueueInit, ManifestRoundTripsAndReinitRefused) {
   EXPECT_THROW(WorkQueue::init(dir, sweep, 7), Error);
   // And a non-queue directory is not a queue.
   EXPECT_THROW(WorkQueue(dir + "/tasks"), Error);
+
+  // A queue of the older format (chunks committed a JSON twin and no
+  // stats) is refused by name, not misread.
+  std::string manifest = read_file(dir + "/queue.json");
+  const std::size_t at = manifest.find("esched-queue-v2");
+  ASSERT_NE(at, std::string::npos);
+  manifest.replace(at, 15, "esched-queue-v1");
+  write_file(dir + "/queue.json", manifest);
+  try {
+    WorkQueue old_queue(dir);
+    FAIL() << "an esched-queue-v1 manifest was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unknown queue format (expected "
+                                         "'esched-queue-v2')"),
+              std::string::npos)
+        << e.what();
+  }
   fs::remove_all(dir);
 }
 
@@ -175,7 +193,11 @@ TEST(WorkQueueScan, TornTaskAndResultFilesAreIgnored) {
   write_file(dir + "/tasks/chunk-000042.json",
              "{\"chunk\": 42, \"begin\": 0, \"end\": 7}");
   write_file(dir + "/tasks/chunk-000004.json.tmp.1.2", "partial write");
+  // An unpadded spelling of a real chunk is foreign too, or chunk 3
+  // would be listed and counted twice.
+  write_file(dir + "/tasks/chunk-3.json", read_file(queue.task_path(3)));
   EXPECT_EQ(queue.pending_tasks().size(), 6u);  // the real ones only
+  EXPECT_EQ(queue.light_counts().pending, 6u);
 
   // A torn done record reads as "chunk unfinished", so the queue keeps
   // the chunk solvable and collect refuses.
@@ -221,7 +243,7 @@ TEST(WorkQueueCollect, RefusesIncompleteQueueWithNamedError) {
   EXPECT_EQ(queue.counts(30.0).done, 1u);
 
   try {
-    queue.collectable_paths(false);
+    queue.collectable_paths();
     FAIL() << "collect accepted an incomplete queue";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -240,7 +262,7 @@ TEST(WorkQueueCollect, RefusesIncompleteQueueWithNamedError) {
     }
   }
   try {
-    queue.collectable_paths(false);
+    queue.collectable_paths();
     FAIL() << "collect accepted a missing result file";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("marked done but its result file"),
@@ -296,26 +318,40 @@ TEST(DistWorkers, ThreeConcurrentWorkersWithACrashCollectByteIdentical) {
 
   // Collect: byte-identical to the single-process report.
   const std::string collected_csv = testing::TempDir() + "dist_collected.csv";
-  merge_csv_reports(queue.collectable_paths(false), collected_csv);
+  merge_csv_reports(queue.collectable_paths(), collected_csv);
   EXPECT_EQ(read_file(collected_csv), read_file(reference_csv));
 
-  // And the JSON collect carries the same points with summed stats.
+  // The JSON collect, built as `esched collect --json` builds it: the
+  // chunk CSVs read into one table, the stats summed from the done
+  // records. Outside "stats" it is the reference's JSON byte for byte.
+  const std::string reference_json =
+      testing::TempDir() + "dist_reference.json";
+  write_json_report(reference_json, all, reference_results, nullptr,
+                    sweep.with_size_dist);
+  SweepStats collected_stats;
+  for (const ChunkRecord& record : queue.completed()) {
+    collected_stats.add(record.stats);
+  }
   const std::string collected_json =
       testing::TempDir() + "dist_collected.json";
-  const MergeStats json_stats =
-      merge_json_reports(queue.collectable_paths(true), collected_json);
-  EXPECT_EQ(json_stats.rows, 40u);
-  const JsonValue merged =
-      parse_json(read_file(collected_json), collected_json);
-  EXPECT_EQ(merged.find("points")->as_array("points").size(), 40u);
-  EXPECT_EQ(merged.find("stats")
-                ->find("total_points")
-                ->as_number("stats.total_points"),
-            40.0);
+  write_json_report(collected_json,
+                    read_csv_reports(queue.collectable_paths()),
+                    &collected_stats);
+  const std::string body = read_file(collected_json);
+  const std::size_t stats_at = body.find(",\n  \"stats\": {");
+  ASSERT_NE(stats_at, std::string::npos) << body;
+  EXPECT_EQ(body.substr(0, stats_at) + "\n}\n", read_file(reference_json));
+  EXPECT_EQ(collected_stats.total_points, 40u);
+  EXPECT_EQ(collected_stats.solved_points + collected_stats.cache_hits, 40u);
+  // Each chunk committed one result file: no JSON twin sits beside it.
+  for (const auto& entry : fs::directory_iterator(dir + "/results")) {
+    EXPECT_EQ(entry.path().extension(), ".csv") << entry.path();
+  }
 
-  std::remove(reference_csv.c_str());
-  std::remove(collected_csv.c_str());
-  std::remove(collected_json.c_str());
+  for (const std::string& path :
+       {reference_csv, collected_csv, reference_json, collected_json}) {
+    std::remove(path.c_str());
+  }
   fs::remove_all(dir);
 }
 
@@ -362,7 +398,7 @@ TEST(DistWorkers, PoisonedChunkFailsTerminallyInsteadOfCyclingTheFleet) {
   EXPECT_EQ(queue.counts(30.0).failed, 2u);
 
   try {
-    queue.collectable_paths(false);
+    queue.collectable_paths();
     FAIL() << "collect accepted a queue with failed chunks";
   } catch (const Error& e) {
     const std::string what = e.what();

@@ -56,16 +56,19 @@ lint::LintContext vocab_context() {
 // --- raw-file-io -----------------------------------------------------------
 
 TEST(LintRawFileIo, FiresOnEveryRawPrimitiveInsideTheZone) {
-  const auto findings = lint::lint_file(
-      "src/dist/fixture.cpp", read_fixture("raw_file_io_fail.cpp"),
-      plain_context());
-  EXPECT_EQ(lines_of_rule(findings, "raw-file-io"),
-            (std::vector<std::size_t>{8, 10, 12}));
+  for (const char* path : {"src/dist/fixture.cpp", "src/engine/report.cpp"}) {
+    const auto findings = lint::lint_file(
+        path, read_fixture("raw_file_io_fail.cpp"), plain_context());
+    EXPECT_EQ(lines_of_rule(findings, "raw-file-io"),
+              (std::vector<std::size_t>{8, 10, 12}))
+        << path;
+  }
 }
 
 TEST(LintRawFileIo, ZoneIsPathScoped) {
-  // The identical content outside src/dist//src/obs//shm_cache is legal:
-  // only the queue/cache/observability protocols need atomic publication.
+  // The identical content outside src/dist//src/obs//shm_cache//report
+  // is legal: only the queue/cache/observability protocols and the
+  // reports need atomic publication.
   const auto findings = lint::lint_file(
       "src/core/fixture.cpp", read_fixture("raw_file_io_fail.cpp"),
       plain_context());

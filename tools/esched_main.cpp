@@ -36,7 +36,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <iostream>
 #include <map>
@@ -52,6 +51,7 @@
 #include <unistd.h>
 #endif
 
+#include "common/atomic_file.hpp"
 #include "common/error.hpp"
 #include "common/json.hpp"
 #include "dist/work_queue.hpp"
@@ -480,12 +480,7 @@ int run_sweep(const Args& args) {
     if (!out_path.empty() || !json_path.empty()) {
       all_points.insert(all_points.end(), points.begin(), points.end());
       all_results.insert(all_results.end(), results.begin(), results.end());
-      combined.total_points += stats.total_points;
-      combined.solved_points += stats.solved_points;
-      combined.cache_hits += stats.cache_hits;
-      combined.disk_hits += stats.disk_hits;
-      combined.wall_seconds += stats.wall_seconds;
-      combined.solve_seconds_total += stats.solve_seconds_total;
+      combined.add(stats);
     }
     std::printf("\n");
   }
@@ -681,18 +676,17 @@ int run_trace_report(const Args& args) {
     throw esched::Error("trace report expects at least one trace file");
   }
   const esched::TraceForest forest = esched::build_trace_forest(args.operands);
-  std::ofstream out_file;
-  if (!out_path.empty()) {
-    out_file.open(out_path, std::ios::binary);
-    if (!out_file.good()) {
-      throw esched::Error("cannot write '" + out_path + "'");
+  const auto render = [&](std::ostream& out) {
+    if (format == "folded") {
+      esched::print_trace_folded(forest, out);
+    } else {
+      esched::print_trace_report(forest, out, rows);
     }
-  }
-  std::ostream& out = out_path.empty() ? std::cout : out_file;
-  if (format == "folded") {
-    esched::print_trace_folded(forest, out);
+  };
+  if (out_path.empty()) {
+    render(std::cout);
   } else {
-    esched::print_trace_report(forest, out, rows);
+    esched::atomic_write_stream(out_path, render);
   }
   return 0;
 }
@@ -870,7 +864,7 @@ std::string render_status(const esched::WorkQueue& queue, double lease_ttl,
           by_owner[record.owner.empty() ? "(unknown)" : record.owner];
       ++tally.chunks;
       tally.points += record.rows;
-      tally.seconds += record.solve_seconds;
+      tally.seconds += record.stats.wall_seconds;
       if (record.age_seconds <= kRollingWindowSeconds) {
         recent_points += record.rows;
         tally.recent_points += record.rows;
@@ -979,17 +973,22 @@ int run_collect(const Args& args) {
   }
   const esched::WorkQueue queue(queue_dir);
   queue.sweep_stale_tmp();
+  const std::vector<std::string> chunks = queue.collectable_paths();
+  const esched::ReportTable table = esched::read_csv_reports(chunks);
   if (!out_path.empty()) {
-    const esched::MergeStats stats = esched::merge_csv_reports(
-        queue.collectable_paths(/*json=*/false), out_path);
+    esched::write_csv_report(out_path, table);
     std::printf("collected %s: %zu rows from %zu chunks\n", out_path.c_str(),
-                stats.rows, stats.files);
+                table.rows.size(), chunks.size());
   }
   if (!json_path.empty()) {
-    const esched::MergeStats stats = esched::merge_json_reports(
-        queue.collectable_paths(/*json=*/true), json_path);
+    // The chunks' stats travel in their done records.
+    esched::SweepStats stats;
+    for (const esched::ChunkRecord& record : queue.completed()) {
+      stats.add(record.stats);
+    }
+    esched::write_json_report(json_path, table, &stats);
     std::printf("collected %s: %zu rows from %zu chunks\n", json_path.c_str(),
-                stats.rows, stats.files);
+                table.rows.size(), chunks.size());
   }
   return 0;
 }
@@ -1160,20 +1159,21 @@ void print_usage() {
       "  queue init      expand the sweep into chunked task files under Q\n"
       "                  (--chunk points per work unit, default 32)\n"
       "  work            claim tasks by atomic rename, solve them through\n"
-      "                  the sweep engine, commit per-chunk CSV/JSON\n"
-      "                  results atomically; expired leases (--lease-ttl,\n"
-      "                  default 60 s since last heartbeat) are requeued,\n"
-      "                  so killed workers lose nothing\n"
+      "                  the sweep engine, commit each chunk's CSV\n"
+      "                  atomically, its stats in the done record; expired\n"
+      "                  leases (--lease-ttl, default 60 s since last\n"
+      "                  heartbeat) are requeued, so killed workers lose\n"
+      "                  nothing\n"
       "  status          pending/leased/done chunk counts, points done,\n"
       "                  active workers, and an ETA from committed solve\n"
       "                  times; --watch redraws every --interval seconds\n"
       "                  (default 2) with per-worker throughput and a\n"
       "                  rolling ETA from recent commits, exiting when the\n"
       "                  queue finishes\n"
-      "  collect         validate completeness and merge the chunk results\n"
-      "                  in chunk order: --out CSV is byte-identical to the\n"
-      "                  unsharded `esched run` CSV; --json merges the\n"
-      "                  chunk JSON reports with recomputed stats\n");
+      "  collect         validate completeness and merge the chunk CSVs in\n"
+      "                  chunk order: --out is byte-identical to the\n"
+      "                  unsharded `esched run` CSV, and --json to its JSON\n"
+      "                  outside the stats, summed from the done records\n");
 }
 
 /// The command `words` names and how many words its name takes: "cache
